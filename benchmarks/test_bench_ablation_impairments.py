@@ -24,7 +24,6 @@ from repro.experiments.detection import (
 )
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.hw.impairments import TYPICAL_N210, FrontEndImpairments
-from repro.hw.trigger import rising_edges
 from repro.phy.wifi.preamble import long_training_symbol
 
 SNRS_DB = [0.0, 3.0, 6.0, 12.0, 20.0]
@@ -53,9 +52,9 @@ def _detection_with_impairments(impairments: FrontEndImpairments | None,
         # real hardware.
         noise_amp = 0.05
         scale = noise_amp * np.sqrt(units.db_to_linear(snr_db))
-        correlator = CrossCorrelator(ci, cq, threshold=threshold)
+        correlator = CrossCorrelator()
+        correlator.load_banks([(ci, cq)], [threshold])
         hits = 0
-        last = False
         for _ in range(N_FRAMES):
             frame = arrivals[rng.integers(0, len(arrivals))]
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -63,9 +62,7 @@ def _detection_with_impairments(impairments: FrontEndImpairments | None,
             block[GUARD:] += frame * (scale * phase)
             if impairments is not None:
                 block = impairments.apply(block)
-            trig = correlator.process(block)
-            edges = rising_edges(trig, last)
-            last = bool(trig[-1])
+            _trigger, (edges,) = correlator.detect(block)
             if edges[edges >= GUARD].size:
                 hits += 1
         probs.append(hits / N_FRAMES)

@@ -50,13 +50,15 @@ def _run():
     for snr_db in SNRS_DB:
         scale = np.sqrt(units.db_to_linear(snr_db))
         hw_hits = float_hits = 0
-        correlator = CrossCorrelator(ci, cq, threshold=hw_threshold)
+        correlator = CrossCorrelator()
+        correlator.load_banks([(ci, cq)], [hw_threshold])
         for _ in range(N_FRAMES):
             frame = arrivals[rng.integers(0, len(arrivals))]
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
             block = awgn(GUARD + frame.size, 1.0, rng)
             block[GUARD:] += frame * (scale * phase)
-            if correlator.process(block)[GUARD:].any():
+            trigger, _edges = correlator.detect(block)
+            if trigger[0, GUARD:].any():
                 hw_hits += 1
             corr = normalized_cross_correlation(block, template)
             if np.any(corr[GUARD:] > float_threshold):

@@ -35,7 +35,7 @@ from repro.experiments.detection import (
     threshold_for_false_alarm_rate,
 )
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
-from repro.kernels import BackendUnavailable, get_backend, prepare_coefficients
+from repro.kernels import BackendUnavailable, get_backend, prepare_stacked
 
 #: Wall-clock floor for the fused metric vs the seed's four passes.
 MIN_FUSED_SPEEDUP = 2.0
@@ -108,8 +108,9 @@ def test_bench_fused_metric_vs_seed(kernels_record):
         return [seed.metric(chunk) for chunk in chunks]
 
     def run_fused():
-        fused = CrossCorrelator(ci, cq, threshold=threshold)
-        return [fused.metric(chunk) for chunk in chunks]
+        fused = CrossCorrelator()
+        fused.load_banks([(ci, cq)], [threshold])
+        return [fused.metric(chunk)[0] for chunk in chunks]
 
     run_seed(), run_fused()  # warm allocators and BLAS
     seed_ns, seed_out = _best_of(3, run_seed)
@@ -190,16 +191,16 @@ def test_bench_numba_backend_vs_numpy(kernels_record):
     numpy_ref = get_backend("numpy")
 
     ci, cq, _threshold = _paper_bank()
-    prepared = prepare_coefficients(ci, cq)
+    prepared = prepare_stacked([(ci, cq)])
     rng = np.random.default_rng(13)
     pairs = prepared.history_pairs
     plane = rng.choice(np.array([-1, 1], dtype=np.int8),
                        size=2 * (pairs + (1 << 16)))
 
-    numba.xcorr_metric(plane, prepared)  # JIT warm-up compile
-    numpy_ns, ref_out = _best_of(5, lambda: numpy_ref.xcorr_metric(
+    numba.xcorr_metric_stacked(plane, prepared)  # JIT warm-up compile
+    numpy_ns, ref_out = _best_of(5, lambda: numpy_ref.xcorr_metric_stacked(
         plane, prepared))
-    numba_ns, jit_out = _best_of(5, lambda: numba.xcorr_metric(
+    numba_ns, jit_out = _best_of(5, lambda: numba.xcorr_metric_stacked(
         plane, prepared))
 
     np.testing.assert_array_equal(jit_out, ref_out)

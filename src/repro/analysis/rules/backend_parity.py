@@ -21,8 +21,8 @@ in the file under analysis:
   at WARNING severity — it is unreachable through the dispatch
   contract and likely dead or divergent;
 * the dispatch contract's **required ops** (:data:`REQUIRED_OPS` —
-  the primitives the hw facades call unconditionally, including the
-  stacked multi-standard correlator pass) must exist on the reference
+  the primitives the hw facades call unconditionally: the stacked
+  correlator pass and the energy moving sums) must exist on the reference
   backend itself (missing required op -> ERROR at the reference
   class).  This leg runs only against the real
   ``repro.kernels.dispatch`` base, not fixture stand-ins, so small
@@ -46,7 +46,7 @@ REFERENCE_BACKEND_NAME = "numpy"
 #: Ops every registered backend must implement: the primitives the hw
 #: facades dispatch to unconditionally.  Enforced on the reference
 #: backend (the sibling checks then propagate them everywhere).
-REQUIRED_OPS = ("moving_sums", "xcorr_metric", "xcorr_metric_stacked")
+REQUIRED_OPS = ("moving_sums", "xcorr_metric_stacked")
 
 _DISPATCH_BASE = "repro.kernels.dispatch:KernelBackend"
 

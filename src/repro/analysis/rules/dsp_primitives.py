@@ -11,7 +11,7 @@ backend-parity test net.
 
 Code that needs a convolution should call
 :func:`repro.kernels.ops.convolve`; correlation-style detection goes
-through :func:`repro.kernels.xcorr_metric` and friends.
+through :func:`repro.kernels.xcorr_metric_stacked` and friends.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ class DetectionConfig:
         energy_low_db: Energy-fall threshold in dB (3..30).
         banks: Up to :data:`~repro.hw.register_map.MAX_BANKS`
             :class:`ProtocolBank` entries for multi-standard stacked
-            detection, or None for the legacy single correlator.
+            detection, or None for the paper's single correlator.
             Mutually exclusive with ``template`` (each bank carries
             its own template and threshold).
     """

@@ -28,7 +28,7 @@ PROFILE_VERSION = 1
 def snapshot_profile(device: UsrpN210, name: str = "unnamed") -> dict:
     """Capture the device's current configuration as a profile dict."""
     core = device.core
-    coeffs_i, coeffs_q = core.correlator.coefficients
+    coeffs_i, coeffs_q = core.correlator.bank_coefficients(0)
     return {
         "version": PROFILE_VERSION,
         "name": name,
@@ -40,7 +40,7 @@ def snapshot_profile(device: UsrpN210, name: str = "unnamed") -> dict:
         "detection": {
             "coeffs_i": [int(c) for c in coeffs_i],
             "coeffs_q": [int(c) for c in coeffs_q],
-            "xcorr_threshold": core.correlator.threshold,
+            "xcorr_threshold": int(core.correlator.thresholds[0]),
             "energy_high_db": core.energy.threshold_high_db,
             "energy_low_db": core.energy.threshold_low_db,
         },

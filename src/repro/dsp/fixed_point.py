@@ -69,9 +69,22 @@ class FixedPointFormat:
         return self.min_int / self.scale
 
     def to_int(self, values: np.ndarray) -> np.ndarray:
-        """Quantize real ``values`` to integers with saturation."""
-        scaled = np.round(np.asarray(values, dtype=np.float64) * self.scale)
-        return np.clip(scaled, self.min_int, self.max_int).astype(np.int64)
+        """Quantize real ``values`` to integers with saturation.
+
+        Saturates the way an ADC does: out-of-range values and +-inf
+        clip to full scale, and NaN (no defined level) maps to 0.
+        """
+        # Saturating before scaling keeps huge finite values from
+        # overflowing; the scale is a power of two, so the result is
+        # the same as rounding first and saturating after.
+        values = np.asarray(values, dtype=np.float64)
+        scaled = np.empty_like(values)
+        np.maximum(values, self.min_value, out=scaled)
+        np.minimum(scaled, self.max_value, out=scaled)
+        scaled *= self.scale
+        np.rint(scaled, out=scaled)
+        scaled[np.isnan(scaled)] = 0.0
+        return scaled.astype(np.int64)
 
     def to_float(self, ints: np.ndarray) -> np.ndarray:
         """Convert stored integers back to real values."""

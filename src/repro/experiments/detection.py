@@ -47,8 +47,8 @@ from repro.hw.energy_differentiator import (
 from repro.hw.trigger import rising_edges
 from repro.kernels import (
     energy_detect_batch,
-    prepare_coefficients,
-    xcorr_detect_batch,
+    stacked_bank_program,
+    xcorr_detect_stacked_batch,
 )
 from repro.phy.wifi.frame import WifiFrameConfig, build_ppdu
 from repro.phy.wifi.params import WIFI_SAMPLE_RATE, WifiRate
@@ -125,20 +125,22 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
                               chunk_samples: int = 1 << 18) -> float:
     """Empirical triggers/second on a noise-only (terminated) input.
 
-    The noise is drawn in ``chunk_samples`` pieces (the RNG draw order
-    is part of the seeded contract) but each chunk runs through the
-    chained batch kernel as a ``rows x _FA_ROW_SAMPLES`` block, with
-    the sign history and last-trigger state carried across chunks —
-    byte-identical to streaming the same noise through
-    ``correlator.process`` from reset state.
+    ``correlator`` holds the bank(s) under test; triggers of every
+    loaded bank count.  The noise is drawn in ``chunk_samples`` pieces
+    (the RNG draw order is part of the seeded contract) but each chunk
+    runs through the chained batch kernel as a
+    ``rows x _FA_ROW_SAMPLES`` block, with the sign history and
+    last-trigger state carried across chunks — byte-identical to
+    streaming the same noise through ``correlator.detect`` from reset
+    state.
     """
     total_samples = int(duration_s * units.BASEBAND_RATE)
     prepared = correlator.prepared_coefficients
-    threshold = correlator.threshold
+    thresholds = correlator.thresholds
     backend = correlator.backend
     triggers = 0
     history = None
-    last = False
+    last = None
     remaining = total_samples
     while remaining > 0:
         n = min(chunk_samples, remaining)
@@ -147,9 +149,9 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
         awgn(n, 1.0, rng, out=blocks.reshape(-1)[:n])
         lengths = np.full(n_rows, _FA_ROW_SAMPLES, dtype=np.int64)
         lengths[-1] = n - _FA_ROW_SAMPLES * (n_rows - 1)
-        result = xcorr_detect_batch(blocks, lengths, prepared, threshold,
-                                    history=history, last=last,
-                                    backend=backend)
+        result = xcorr_detect_stacked_batch(blocks, lengths, prepared,
+                                            thresholds, history=history,
+                                            last=last, backend=backend)
         triggers += int(result.edge_plane.sum())
         history = result.history
         last = result.last
@@ -270,10 +272,11 @@ def _count_frames(spec: _CurveTrialSpec, rng: np.random.Generator
                                      threshold, threshold)
         edge_plane = result.edge_high
     else:
-        prepared = prepare_coefficients(spec.coeffs_i, spec.coeffs_q)
-        result = xcorr_detect_batch(blocks, lengths, prepared,
-                                    spec.threshold)
-        edge_plane = result.edge_plane
+        prepared, thresholds = stacked_bank_program(
+            [(spec.coeffs_i, spec.coeffs_q)], [spec.threshold])
+        result = xcorr_detect_stacked_batch(blocks, lengths, prepared,
+                                            thresholds)
+        edge_plane = result.edge_plane[:, 0]
     frame_rows = edge_plane[1:] if warmup else edge_plane
     in_frame = frame_rows[:, GUARD_SAMPLES:]
     per_frame = in_frame.sum(axis=1)
@@ -324,9 +327,15 @@ def _energy_trial(spec: _CurveTrialSpec, rng: np.random.Generator
 def _xcorr_trial_looped(spec: _CurveTrialSpec, rng: np.random.Generator
                         ) -> tuple[int, int]:
     """Streaming-reference correlator trial (identity tests, benchmarks)."""
-    correlator = CrossCorrelator(spec.coeffs_i, spec.coeffs_q,
-                                 threshold=spec.threshold)
-    return _count_frames_looped(spec, correlator.process, rng)
+    correlator = CrossCorrelator()
+    correlator.load_banks([(spec.coeffs_i, spec.coeffs_q)],
+                          [spec.threshold])
+
+    def process(block: np.ndarray) -> np.ndarray:
+        trigger, _edges = correlator.detect(block)
+        return trigger[0]
+
+    return _count_frames_looped(spec, process, rng)
 
 
 def _energy_trial_looped(spec: _CurveTrialSpec, rng: np.random.Generator

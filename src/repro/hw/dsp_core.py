@@ -30,9 +30,8 @@ from repro.telemetry.tracer import CAT_DETECTOR, CAT_TX, NULL_TRACER, Tracer
 if TYPE_CHECKING:
     from repro.telemetry.profiler import HostProfiler
 from repro.hw.watchdog import Watchdog
-from repro.hw.banked_correlator import DEFAULT_BANK_LABELS, \
-    BankedCrossCorrelator
-from repro.hw.cross_correlator import METRIC_MAX, CrossCorrelator
+from repro.hw.cross_correlator import DEFAULT_BANK_LABELS, METRIC_MAX, \
+    CrossCorrelator
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.registers import UserRegisterBus, unpack_signed_fields
 from repro.hw.trigger import (
@@ -50,7 +49,7 @@ class DetectionEvent:
     ``protocol`` names the correlator bank that fired when the core
     runs in stacked multi-standard mode (the ``which_protocol``
     telemetry dimension); it is ``None`` for energy detections and for
-    the legacy single-bank correlator.
+    the paper's correlator (``REG_BANK_COUNT`` = 0).
     """
 
     time: int
@@ -86,11 +85,18 @@ class CustomDspCore:
         #: Optional in-fabric watchdog (duty guard, re-arm timeout,
         #: safe state).  ``None`` reproduces the unguarded core.
         self.watchdog = watchdog
+        #: The paper's correlator (Fig. 3): registers 0-23 decode into
+        #: its one bank.  On the data path while ``REG_BANK_COUNT`` is
+        #: 0; its power-on bank is all-zero with a threshold that never
+        #: fires (the trigger needs metric > threshold).
         self.correlator = CrossCorrelator()
+        zeros = np.zeros(regmap.CORRELATOR_LENGTH, dtype=np.int64)
+        self.correlator.load_banks([(zeros, zeros)], [METRIC_MAX])
         #: The stacked multi-standard bank (K protocols, one GEMM
-        #: pass).  Dormant until ``REG_BANK_COUNT`` selects K >= 1,
-        #: at which point it replaces ``correlator`` on the data path.
-        self.banked = BankedCrossCorrelator()
+        #: pass), decoded from registers 24-43.  Dormant until
+        #: ``REG_BANK_COUNT`` selects K >= 1, at which point it
+        #: replaces ``correlator`` on the data path.
+        self.banked = CrossCorrelator()
         #: Host-side protocol names for the banked correlator; strings
         #: cannot cross the register bus, so the host (driver) sets
         #: them directly before programming the bank count.
@@ -103,8 +109,8 @@ class CustomDspCore:
                               for _ in range(regmap.MAX_BANKS)]
         self._bank_words_q = [[0] * regmap.COEFF_WORDS
                               for _ in range(regmap.MAX_BANKS)]
-        # METRIC_MAX never fires (the trigger needs metric > threshold),
-        # matching the single correlator's quiet power-on default.
+        # METRIC_MAX never fires, matching the paper bank's quiet
+        # power-on default.
         self._bank_thresholds = np.full(regmap.MAX_BANKS, METRIC_MAX,
                                         dtype=np.int64)
         self._protocol_registry = None
@@ -117,7 +123,6 @@ class CustomDspCore:
         self._tracer: Tracer = NULL_TRACER
         self.profiler: "HostProfiler | None" = None
         self._clock = 0  # absolute index of the next sample to process
-        self._last_xcorr = False
         self._last_ehigh = False
         self._last_elow = False
         self._active_intervals: list[JamInterval] = []
@@ -187,25 +192,24 @@ class CustomDspCore:
                 self.watchdog.clear_illegal(address)
         return wrapped
 
+    @staticmethod
+    def _unpacked_words(words_i, words_q) -> tuple[np.ndarray, np.ndarray]:
+        coeffs_i = unpack_signed_fields(words_i, regmap.COEFF_BITS,
+                                        regmap.CORRELATOR_LENGTH)
+        coeffs_q = unpack_signed_fields(words_q, regmap.COEFF_BITS,
+                                        regmap.CORRELATOR_LENGTH)
+        return np.array(coeffs_i), np.array(coeffs_q)
+
     def _reload_coefficients(self) -> None:
         words_i = [self.bus.read(regmap.REG_COEFF_I_BASE + k)
                    for k in range(regmap.COEFF_WORDS)]
         words_q = [self.bus.read(regmap.REG_COEFF_Q_BASE + k)
                    for k in range(regmap.COEFF_WORDS)]
-        coeffs_i = unpack_signed_fields(words_i, regmap.COEFF_BITS,
-                                        regmap.CORRELATOR_LENGTH)
-        coeffs_q = unpack_signed_fields(words_q, regmap.COEFF_BITS,
-                                        regmap.CORRELATOR_LENGTH)
-        self.correlator.load_coefficients(np.array(coeffs_i), np.array(coeffs_q))
+        self.correlator.load_bank(0, *self._unpacked_words(words_i, words_q))
 
     def _unpacked_bank(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        coeffs_i = unpack_signed_fields(self._bank_words_i[index],
-                                        regmap.COEFF_BITS,
-                                        regmap.CORRELATOR_LENGTH)
-        coeffs_q = unpack_signed_fields(self._bank_words_q[index],
-                                        regmap.COEFF_BITS,
-                                        regmap.CORRELATOR_LENGTH)
-        return np.array(coeffs_i), np.array(coeffs_q)
+        return self._unpacked_words(self._bank_words_i[index],
+                                    self._bank_words_q[index])
 
     def _set_bank_count(self, value: int) -> None:
         count = int(value)
@@ -214,17 +218,28 @@ class CustomDspCore:
                 f"bank count must be 0..{regmap.MAX_BANKS}, got {count}"
             )
         if count == 0:
-            # Back to the legacy single-bank correlator; the shadows
-            # keep their contents for a later re-enable.
+            # Back to the paper's correlator; the shadows keep their
+            # contents for a later re-enable.
+            if self._bank_count:
+                self.correlator.resume_from(self.banked)
             self._bank_count = 0
             return
         banks = [self._unpacked_bank(k) for k in range(count)]
         self.banked.load_banks(banks, self._bank_thresholds[:count],
                                labels=self.bank_labels[:count])
+        if not self._bank_count:
+            # The received stream moves across with the mode switch: a
+            # preamble straddling the switch must still correlate.
+            self.banked.resume_from(self.correlator)
         self._bank_count = count
 
     def _set_bank_select(self, value: int) -> None:
-        self._bank_select = int(value)
+        index = int(value)
+        if not 0 <= index < regmap.MAX_BANKS:
+            raise ConfigurationError(
+                f"bank select must be 0..{regmap.MAX_BANKS - 1}, got {index}"
+            )
+        self._bank_select = index
 
     def _bank_coeff_watch(self, words, offset):
         """Latch a windowed coefficient word into the selected bank.
@@ -259,7 +274,7 @@ class CustomDspCore:
             self.banked.set_label(index, label)
 
     def _set_xcorr_threshold(self, value: int) -> None:
-        self.correlator.threshold = value
+        self.correlator.set_threshold(0, value)
 
     def _set_energy_high(self, value: int) -> None:
         self.energy.threshold_high_db = regmap.decode_energy_threshold_db(value)
@@ -342,7 +357,7 @@ class CustomDspCore:
 
     @property
     def bank_count(self) -> int:
-        """Active stacked banks (0 = legacy single-bank correlator)."""
+        """Active stacked banks (0 = the paper's correlator)."""
         return self._bank_count
 
     def attach_metrics(self, registry) -> None:
@@ -392,7 +407,6 @@ class CustomDspCore:
         self.fsm.reset()
         self.tx.reset()
         self._clock = 0
-        self._last_xcorr = False
         self._last_ehigh = False
         self._last_elow = False
         self._active_intervals.clear()
@@ -433,33 +447,24 @@ class CustomDspCore:
             self.watchdog.check_rearm(self.fsm, chunk_start)
 
         profiler = self.profiler
-        banked = self._bank_count >= 1
+        stacked = self._bank_count >= 1
+        correlator = self.banked if stacked else self.correlator
         if profiler is None:
-            if banked:
-                _trig, banked_edges = self.banked.detect(samples)
-            else:
-                xcorr_trig, xcorr_edges = self.correlator.detect(
-                    samples, self._last_xcorr)
+            _trig, xcorr_edges = correlator.detect(samples)
             ehigh_trig, elow_trig, ehigh_edges, elow_edges = \
                 self.energy.detect(samples, self._last_ehigh,
                                    self._last_elow)
         else:
             with profiler.profile("xcorr"):
-                if banked:
-                    _trig, banked_edges = self.banked.detect(samples)
-                else:
-                    xcorr_trig, xcorr_edges = self.correlator.detect(
-                        samples, self._last_xcorr)
+                _trig, xcorr_edges = correlator.detect(samples)
             with profiler.profile("energy"):
                 ehigh_trig, elow_trig, ehigh_edges, elow_edges = \
                     self.energy.detect(samples, self._last_ehigh,
                                        self._last_elow)
-        if banked:
-            # The stacked facade owns the per-bank trigger carries.
-            xcorr_banks = list(zip(banked_edges, self.banked.labels))
-        else:
-            self._last_xcorr = bool(xcorr_trig[-1])
-            xcorr_banks = [(xcorr_edges, None)]
+        # The correlator owns its per-bank trigger carries; the paper's
+        # bank fires with no protocol label.
+        protocols = correlator.labels if stacked else (None,)
+        xcorr_banks = list(zip(xcorr_edges, protocols))
         self._last_ehigh = bool(ehigh_trig[-1])
         self._last_elow = bool(elow_trig[-1])
 
@@ -510,9 +515,9 @@ class CustomDspCore:
         if n < 0:
             raise StreamError("cannot skip a negative number of samples")
         self._clock += n
-        self._last_xcorr = False
         self._last_ehigh = False
         self._last_elow = False
+        self.correlator.clear_last()
         self.banked.clear_last()
         self._retire_intervals()
 
@@ -524,9 +529,9 @@ class CustomDspCore:
         """Merge per-bank correlator edges with the energy detector's.
 
         ``xcorr_banks`` is a list of ``(edges, protocol)`` pairs — one
-        entry (protocol ``None``) in legacy mode, K entries in stacked
-        mode.  Events sort by time, then source, then bank index, so
-        coincident multi-protocol hits come out in bank order.
+        entry (protocol ``None``) for the paper's correlator, K entries
+        in stacked mode.  Events sort by time, then source, then bank
+        index, so coincident multi-protocol hits come out in bank order.
         """
         xcorr_total = sum(edges.size for edges, _ in xcorr_banks)
         self.detection_counts[TriggerSource.XCORR] += xcorr_total

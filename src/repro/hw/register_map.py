@@ -36,7 +36,7 @@ thresholds:
 ==========  =====================================================
 Address     Contents
 ==========  =====================================================
-24          bank count: 0 = banked mode off (legacy single
+24          bank count: 0 = banked mode off (the paper's
             correlator), 1..4 = number of active stacked banks
 25          bank select: which bank (0..3) the coefficient write
             window at 26..39 targets

@@ -254,7 +254,7 @@ class UhdDriver:
         self._write(regmap.REG_BANK_THRESHOLD_BASE + index, int(threshold))
 
     def set_bank_count(self, count: int) -> None:
-        """Select how many stacked banks run (0 = legacy correlator)."""
+        """Select how many stacked banks run (0 = the paper's correlator)."""
         count = int(count)
         if not 0 <= count <= regmap.MAX_BANKS:
             raise ConfigurationError(

@@ -3,7 +3,8 @@
 The bit-exact compute layer under the detector facades:
 
 * :mod:`repro.kernels.xcorr` — the sign-bit cross-correlator as two
-  GEMMs over an interleaved sign plane (fused metric + trigger + edge
+  GEMMs over an interleaved sign plane, ``K`` stacked banks per pass
+  (the paper's correlator is ``K = 1``; fused metric + trigger + edge
   extraction, streaming and chained-batch forms);
 * :mod:`repro.kernels.energy` — the moving-sum energy differentiator
   with exact float tail stitching for batched rows;
@@ -40,20 +41,13 @@ from repro.kernels.xcorr import (
     StackedBatchResult,
     StackedCoefficients,
     StackedDetection,
-    XcorrBatchResult,
-    XcorrCoefficients,
-    XcorrDetection,
     chained_edges,
-    prepare_coefficients,
     prepare_stacked,
     rising_edge_plane,
     sign_plane,
     stacked_bank_program,
-    xcorr_detect,
-    xcorr_detect_batch,
     xcorr_detect_stacked,
     xcorr_detect_stacked_batch,
-    xcorr_metric,
     xcorr_metric_stacked,
 )
 
@@ -70,25 +64,18 @@ __all__ = [
     "StackedBatchResult",
     "StackedCoefficients",
     "StackedDetection",
-    "XcorrBatchResult",
-    "XcorrCoefficients",
-    "XcorrDetection",
     "available_backends",
     "chained_edges",
     "energy_detect_batch",
     "get_backend",
     "make_numba_backend",
     "moving_sums",
-    "prepare_coefficients",
     "prepare_stacked",
     "register_backend",
     "rising_edge_plane",
     "sign_plane",
     "stacked_bank_program",
-    "xcorr_detect",
-    "xcorr_detect_batch",
     "xcorr_detect_stacked",
     "xcorr_detect_stacked_batch",
-    "xcorr_metric",
     "xcorr_metric_stacked",
 ]

@@ -57,30 +57,19 @@ class KernelBackend:
     #: Registry name; concrete backends override this.
     name = "abstract"
 
-    def xcorr_metric(self, plane: np.ndarray, coeffs,
-                     out: np.ndarray | None = None,
-                     scratch=None) -> np.ndarray:
-        """Squared correlation metric over an interleaved sign plane.
-
-        ``plane`` is ``(..., 2 * (history + n))`` int8 with I/Q signs
-        interleaved (``plane[..., 2m]`` = sign I of pair ``m``); the
-        leading ``2 * (taps - 1)`` entries are carried history (zeros
-        after reset).  Returns ``(..., n)`` int64.
-        """
-        raise NotImplementedError
-
     def xcorr_metric_stacked(self, plane: np.ndarray, coeffs,
                              out: np.ndarray | None = None,
                              scratch=None) -> np.ndarray:
         """Per-bank squared metric over one shared sign plane.
 
-        ``plane`` is laid out exactly as for :meth:`xcorr_metric` with
-        the history depth of the *stacked* bank
-        (``2 * (coeffs.taps - 1)`` leading entries); ``coeffs`` is a
+        ``plane`` is ``(..., 2 * (history + n))`` int8 with I/Q signs
+        interleaved (``plane[..., 2m]`` = sign I of pair ``m``); the
+        leading ``2 * (coeffs.taps - 1)`` entries are carried history
+        (zeros after reset).  ``coeffs`` is a
         :class:`repro.kernels.xcorr.StackedCoefficients` carrying the
-        ``K`` zero-padded protocol banks.  Returns ``(..., K, n)``
-        int64 — bank ``k``'s row is byte-identical to
-        :meth:`xcorr_metric` run with bank ``k`` alone.
+        ``K`` zero-padded banks (``K = 1`` for the paper's correlator).
+        Returns ``(..., K, n)`` int64 — bank ``k``'s row is
+        byte-identical to the same op run with bank ``k`` alone.
         """
         raise NotImplementedError
 

@@ -25,22 +25,6 @@ def _compile_kernels():
     from numba import njit, prange
 
     @njit(parallel=True, cache=True)
-    def xcorr_metric(plane, stacked, history_pairs, out):
-        rows, length = plane.shape
-        taps2 = stacked.shape[0]
-        n = length // 2 - history_pairs
-        for r in prange(rows):
-            for t in range(n):
-                base = 2 * t
-                corr_re = np.int64(0)
-                corr_im = np.int64(0)
-                for j in range(taps2):
-                    value = np.int64(plane[r, base + j])
-                    corr_re += stacked[j, 0] * value
-                    corr_im += stacked[j, 1] * value
-                out[r, t] = corr_re * corr_re + corr_im * corr_im
-
-    @njit(parallel=True, cache=True)
     def xcorr_metric_stacked(plane, stacked, history_pairs, out):
         rows, length = plane.shape
         taps2 = stacked.shape[0]
@@ -70,7 +54,7 @@ def _compile_kernels():
             for i in range(n):
                 out[r, i] = csum[r, window + i] - csum[r, i]
 
-    return xcorr_metric, xcorr_metric_stacked, moving_sums
+    return xcorr_metric_stacked, moving_sums
 
 
 class NumbaKernelBackend(KernelBackend):
@@ -80,27 +64,11 @@ class NumbaKernelBackend(KernelBackend):
 
     def __init__(self) -> None:
         try:
-            self._xcorr, self._xcorr_stacked, self._sums = \
-                _compile_kernels()
+            self._xcorr_stacked, self._sums = _compile_kernels()
         except ImportError as exc:
             raise BackendUnavailable(
                 "the numba backend needs the optional 'numba' package"
             ) from exc
-
-    def xcorr_metric(self, plane: np.ndarray, coeffs,
-                     out: np.ndarray | None = None,
-                     scratch=None) -> np.ndarray:
-        plane = np.asarray(plane, dtype=np.int8)
-        lead = plane.shape[:-1]
-        length = plane.shape[-1]
-        n = length // 2 - coeffs.history_pairs
-        if out is None:
-            out = np.empty(lead + (n,), dtype=np.int64)
-        rows = int(np.prod(lead, dtype=np.int64)) if lead else 1
-        self._xcorr(np.ascontiguousarray(plane.reshape(rows, length)),
-                    coeffs.stacked, coeffs.history_pairs,
-                    out.reshape(rows, n))
-        return out
 
     def xcorr_metric_stacked(self, plane: np.ndarray, coeffs,
                              out: np.ndarray | None = None,

@@ -4,7 +4,7 @@ This is the semantic ground truth every other backend must match
 byte-for-byte.  The correlation metric is evaluated with the
 block-Toeplitz two-GEMM scheme described in
 :mod:`repro.kernels.xcorr`; the float dtype is chosen by
-:func:`repro.kernels.xcorr.prepare_coefficients` so that every
+:func:`repro.kernels.xcorr.prepare_stacked` so that every
 intermediate is an exactly-representable integer, making the float
 GEMM bit-identical to int64 arithmetic.
 
@@ -38,61 +38,6 @@ class NumpyKernelBackend(KernelBackend):
             buf = self._scratch[key] = ScratchBuffer(dtype)
         return buf.view(n)
 
-    def xcorr_metric(self, plane: np.ndarray, coeffs,
-                     out: np.ndarray | None = None,
-                     scratch=None) -> np.ndarray:
-        plane = np.asarray(plane)
-        lead = plane.shape[:-1]
-        length = plane.shape[-1]
-        pairs = length // 2
-        n = pairs - coeffs.history_pairs
-        two_s = 2 * coeffs.block
-        n_blocks = -(-pairs // coeffs.block)
-        rows = int(np.prod(lead, dtype=np.int64)) if lead else 1
-        padded_len = (n_blocks + 1) * two_s
-        dtype = coeffs.gemm_dtype
-
-        # Copy the plane into block-aligned zero-padded float storage
-        # (the caller's scratch when its dtype matches); windows that
-        # start in the zero padding produce garbage rows sliced away
-        # below, never junk data read.
-        if scratch is not None and scratch.dtype == dtype:
-            flat = scratch.view(rows * padded_len)
-        else:
-            flat = self._view("padded", dtype, rows * padded_len)
-        padded = flat.reshape(rows, padded_len)
-        padded[:, :length] = plane.reshape(rows, length)
-        padded[:, length:] = 0
-
-        # Window g of the flat padded buffer is (row g // (n_blocks+1),
-        # block g % (n_blocks+1)): X0 is the buffer itself and X1 the
-        # same buffer offset by one block, so both GEMM operands are
-        # contiguous views — no window gather/copy at all.  The extra
-        # per-row window (j == n_blocks, whose X1 operand crosses into
-        # the next row) lands at columns >= n_blocks*block and is
-        # sliced away with the zero-padding garbage below.
-        m = rows * (n_blocks + 1)
-        x0 = flat.reshape(m, two_s)
-        x1 = flat[two_s:m * two_s].reshape(m - 1, two_s)
-        gemm = self._view("gemm0", dtype, m * two_s).reshape(m, two_s)
-        gemm_b = self._view("gemm1", dtype, m * two_s).reshape(m, two_s)
-        np.matmul(x0, coeffs.a_matrix, out=gemm)
-        np.matmul(x1, coeffs.b_matrix, out=gemm_b[:m - 1])
-        gemm_b[m - 1:] = 0
-        gemm += gemm_b
-        corr = gemm.reshape(rows, (n_blocks + 1) * coeffs.block, 2)
-        corr_re = corr[:, :n, 0]
-        corr_im = corr[:, :n, 1]
-
-        sq_re = self._view("sq_re", dtype, rows * n).reshape(rows, n)
-        sq_im = self._view("sq_im", dtype, rows * n).reshape(rows, n)
-        np.multiply(corr_re, corr_re, out=sq_re)
-        np.multiply(corr_im, corr_im, out=sq_im)
-        if out is None:
-            out = np.empty(lead + (n,), dtype=np.int64)
-        np.add(sq_re, sq_im, out=out.reshape(rows, n), casting="unsafe")
-        return out
-
     def xcorr_metric_stacked(self, plane: np.ndarray, coeffs,
                              out: np.ndarray | None = None,
                              scratch=None) -> np.ndarray:
@@ -108,8 +53,11 @@ class NumpyKernelBackend(KernelBackend):
         padded_len = (n_blocks + 1) * two_s
         dtype = coeffs.gemm_dtype
 
-        # Identical padded-plane layout to xcorr_metric: the sign plane
-        # is shared across banks, only the Toeplitz bands grow wider.
+        # Copy the plane into block-aligned zero-padded float storage
+        # (the caller's scratch when its dtype matches); windows that
+        # start in the zero padding produce garbage rows sliced away
+        # below, never junk data read.  The plane is shared by every
+        # bank; only the Toeplitz bands grow with K.
         if scratch is not None and scratch.dtype == dtype:
             flat = scratch.view(rows * padded_len)
         else:
@@ -118,7 +66,13 @@ class NumpyKernelBackend(KernelBackend):
         padded[:, :length] = plane.reshape(rows, length)
         padded[:, length:] = 0
 
-        # One GEMM pair over all K banks: the operand columns carry
+        # Window g of the flat padded buffer is (row g // (n_blocks+1),
+        # block g % (n_blocks+1)): X0 is the buffer itself and X1 the
+        # same buffer offset by one block, so both GEMM operands are
+        # contiguous views — no window gather/copy at all.  The extra
+        # per-row window (j == n_blocks, whose X1 operand crosses into
+        # the next row) is sliced away with the padding garbage below.
+        # One GEMM pair covers all K banks: the operand columns carry
         # every bank's corr_re/corr_im per window (flattened index
         # j*2K + 2k + c), so the output row reshapes straight into the
         # (window, bank, component) metric layout.

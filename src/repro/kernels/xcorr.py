@@ -4,20 +4,22 @@ The paper's correlator (Fig. 3) is one fixed-point pipeline: slice
 each I/Q pair to its sign bit, correlate against 64 3-bit complex
 coefficients, square, compare, trigger.  The seed software model spent
 four separate ``np.correlate`` passes per chunk on this; here the
-whole datapath is two GEMMs.
+whole datapath is two GEMMs.  There is one kernel path: ``K``
+coefficient banks stacked into one operand, of which the paper's single
+correlator is the ``K = 1`` case.
 
 **Layout.**  A chunk becomes an *interleaved sign plane*:
 ``plane[2m] = sign(I[m])``, ``plane[2m+1] = sign(Q[m])``, prefixed by
 the ``2 * (taps - 1)`` entries of carried history (zeros after reset,
 matching the hardware).  With the stacked coefficient matrix ``C`` of
-shape ``(2T, 2)``::
+shape ``(2T, 2K)``, bank ``b`` owning columns ``2b`` and ``2b + 1``::
 
-    C[2k, 0] = cI[k]   C[2k+1, 0] = cQ[k]     # -> corr_re
-    C[2k, 1] = -cQ[k]  C[2k+1, 1] = cI[k]     # -> corr_im
+    C[2k, 2b] = cI[k]    C[2k+1, 2b] = cQ[k]      # -> corr_re
+    C[2k, 2b+1] = -cQ[k] C[2k+1, 2b+1] = cI[k]    # -> corr_im
 
 the window starting at pair ``t`` satisfies
-``(corr_re[t], corr_im[t]) = plane[2t : 2t + 2T] @ C`` — both
-correlator accumulators from one product.
+``(corr_re[t], corr_im[t]) = plane[2t : 2t + 2T] @ C[:, 2b:2b+2]`` —
+both correlator accumulators of every bank from one product.
 
 **Block-Toeplitz evaluation.**  Gathering every window explicitly
 (``sliding_window_view`` + matmul) is memory-bound: each input element
@@ -25,7 +27,7 @@ is copied ~64 times.  Instead the plane is cut into contiguous
 non-overlapping blocks of ``2S`` entries (``S = taps``) and the
 windows are recovered algebraically: every window spans at most two
 consecutive blocks, so with banded Toeplitz matrices ``A`` and ``B``
-(``A[tau, 2j+c] = C[tau - 2j, c]`` where defined, ``B`` the
+(``A[tau, j*2K + c] = C[tau - 2j, c]`` where defined, ``B`` the
 continuation into the next block)::
 
     out = X0 @ A + X1 @ B        # X1 = X0 shifted one block
@@ -55,108 +57,14 @@ from repro.runtime.cache import cached_artifact
 #: Largest integer float32 runs an exact accumulation over.
 _F32_EXACT_LIMIT = 1 << 24
 
-#: Prepared-bank memo (insertion-ordered; oldest evicted at the cap).
-_PREPARED_CACHE: dict[tuple[bytes, bytes], "XcorrCoefficients"] = {}
-_PREPARED_CACHE_MAX = 16
-
 #: Int8 scalars for the in-place 0/1 -> +1/-1 sign mapping.
 _SIGN_SCALE = np.int8(-2)
 _SIGN_POS = np.int8(1)
 
 
-@dataclass(frozen=True)
-class XcorrCoefficients:
-    """A coefficient bank prepared for the fused kernel.
-
-    Attributes:
-        taps: Template length ``T`` (64 for the paper's correlator).
-        stacked: ``(2T, 2)`` int64 stacked coefficient matrix (the
-            ``C`` of the module docstring) — integer ground truth used
-            by the reference/JIT paths.
-        gemm_dtype: float32 when the exactness bound allows, else
-            float64.
-        block: Block length ``S`` of the Toeplitz evaluation (= taps).
-        a_matrix: ``(2S, 2S)`` in-block Toeplitz band, ``gemm_dtype``.
-        b_matrix: ``(2S, 2S)`` next-block continuation band.
-    """
-
-    taps: int
-    stacked: np.ndarray
-    gemm_dtype: np.dtype
-    block: int
-    a_matrix: np.ndarray
-    b_matrix: np.ndarray
-
-    @property
-    def history_pairs(self) -> int:
-        """Sign pairs of history a stream must carry: ``taps - 1``."""
-        return self.taps - 1
-
-
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def prepare_coefficients(coeffs_i: np.ndarray,
-                         coeffs_q: np.ndarray) -> XcorrCoefficients:
-    """Build the stacked and Toeplitz matrices for a coefficient bank.
-
-    Memoized on the bank contents: sweep trials re-prepare the same
-    bank thousands of times, and the prepared matrices are frozen, so
-    sharing one instance is safe.
-    """
-    coeffs_i = np.asarray(coeffs_i, dtype=np.int64)
-    coeffs_q = np.asarray(coeffs_q, dtype=np.int64)
-    if coeffs_i.ndim != 1 or coeffs_i.shape != coeffs_q.shape:
-        raise ConfigurationError(
-            "coefficient banks must be two 1-D arrays of equal length"
-        )
-    taps = coeffs_i.size
-    if taps < 1:
-        raise ConfigurationError("coefficient banks must not be empty")
-    key = (coeffs_i.tobytes(), coeffs_q.tobytes())
-    cached = _PREPARED_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    stacked = np.zeros((2 * taps, 2), dtype=np.int64)
-    stacked[0::2, 0] = coeffs_i
-    stacked[1::2, 0] = coeffs_q
-    stacked[0::2, 1] = -coeffs_q
-    stacked[1::2, 1] = coeffs_i
-
-    # |corr_re|, |corr_im| <= bound; metric <= 2 * bound**2.  Exact in
-    # float32 iff the metric stays inside the 2**24 integer window.
-    bound = int(np.sum(np.abs(coeffs_i)) + np.sum(np.abs(coeffs_q)))
-    exact_in_f32 = 2 * bound * bound < _F32_EXACT_LIMIT
-    gemm_dtype = np.dtype(np.float32 if exact_in_f32 else np.float64)
-
-    block = taps
-    two_s = 2 * block
-    # A[tau, j, c] = stacked[tau - 2j, c] for 0 <= tau - 2j < 2T;
-    # B picks up the band where it wraps past the block boundary.
-    offsets = np.arange(two_s)[:, None] - 2 * np.arange(block)[None, :]
-    clipped = offsets.clip(0, 2 * taps - 1)
-    in_band = (offsets >= 0) & (offsets < 2 * taps)
-    a_matrix = np.where(in_band[:, :, None], stacked[clipped], 0)
-    offsets_b = offsets + two_s
-    clipped_b = offsets_b.clip(0, 2 * taps - 1)
-    in_band_b = (offsets_b >= 0) & (offsets_b < 2 * taps)
-    b_matrix = np.where(in_band_b[:, :, None], stacked[clipped_b], 0)
-
-    prepared = XcorrCoefficients(
-        taps=taps,
-        stacked=_freeze(stacked),
-        gemm_dtype=gemm_dtype,
-        block=block,
-        a_matrix=_freeze(a_matrix.reshape(two_s, two_s).astype(gemm_dtype)),
-        b_matrix=_freeze(b_matrix.reshape(two_s, two_s).astype(gemm_dtype)),
-    )
-    if len(_PREPARED_CACHE) >= _PREPARED_CACHE_MAX:
-        _PREPARED_CACHE.pop(next(iter(_PREPARED_CACHE)))
-    _PREPARED_CACHE[key] = prepared
-    return prepared
 
 
 @dataclass(frozen=True)
@@ -176,8 +84,8 @@ class StackedCoefficients:
     window's extra leading coefficients are zero, so they contribute
     nothing regardless of what the (longer) shared history holds.
     Bank ``k``'s row of the stacked metric is therefore byte-identical
-    to an independent single-bank correlator of length
-    ``bank_taps[k]`` — the invariant the parity suite pins.
+    to a ``K = 1`` stack holding bank ``k`` alone (and to the
+    ``np.correlate`` reference) — the invariant the parity suite pins.
 
     Attributes:
         taps: Padded common template length ``T`` (= max bank length).
@@ -257,9 +165,8 @@ def _prepare_stacked(banks) -> StackedCoefficients:
 
     block = taps
     two_s = 2 * block
-    # Same band construction as prepare_coefficients, with 2K stacked
-    # columns per window position: a_matrix[tau, j*2K + c2] =
-    # stacked[tau - 2j, c2] where defined, b_matrix the continuation.
+    # 2K stacked columns per window position: a_matrix[tau, j*2K + c2]
+    # = stacked[tau - 2j, c2] where defined, b_matrix the continuation.
     offsets = np.arange(two_s)[:, None] - 2 * np.arange(block)[None, :]
     clipped = offsets.clip(0, 2 * taps - 1)
     in_band = (offsets >= 0) & (offsets < 2 * taps)
@@ -389,33 +296,6 @@ def chained_edges(trigger: np.ndarray, lengths: np.ndarray,
 
 
 @dataclass(frozen=True)
-class XcorrDetection:
-    """Fused single-stream detection result."""
-
-    metric: np.ndarray
-    trigger: np.ndarray
-    edges: np.ndarray
-    last: bool
-
-
-@dataclass(frozen=True)
-class XcorrBatchResult:
-    """Chained batch detection result.
-
-    ``trigger``/``edge_plane`` are ``(batch, width)``; columns past a
-    row's length are meaningless in ``trigger`` and already masked in
-    ``edge_plane``.  ``history``/``last`` are the carry-out stream
-    state, ready to seed the next :func:`xcorr_detect_batch` call.
-    """
-
-    metric: np.ndarray
-    trigger: np.ndarray
-    edge_plane: np.ndarray
-    history: np.ndarray
-    last: bool
-
-
-@dataclass(frozen=True)
 class StackedDetection:
     """Fused single-stream detection result over ``K`` stacked banks.
 
@@ -448,15 +328,6 @@ class StackedBatchResult:
     last: np.ndarray
 
 
-def xcorr_metric(plane: np.ndarray, coeffs: XcorrCoefficients,
-                 backend: "str | KernelBackend | None" = None,
-                 out: np.ndarray | None = None,
-                 scratch=None) -> np.ndarray:
-    """Squared correlation metric over an interleaved sign plane."""
-    return get_backend(backend).xcorr_metric(plane, coeffs,
-                                             out=out, scratch=scratch)
-
-
 def xcorr_metric_stacked(plane: np.ndarray, coeffs: StackedCoefficients,
                          backend: "str | KernelBackend | None" = None,
                          out: np.ndarray | None = None,
@@ -483,12 +354,14 @@ def xcorr_detect_stacked(plane: np.ndarray, coeffs: StackedCoefficients,
                          last: np.ndarray | None = None,
                          backend: "str | KernelBackend | None" = None,
                          scratch=None) -> StackedDetection:
-    """The fused multi-standard datapath: one GEMM pass, K detectors.
+    """The fused streaming datapath: one GEMM pass, K detectors.
 
-    ``thresholds`` is ``(K,)`` (one per bank) and ``last`` the ``(K,)``
-    per-bank trigger carry from the previous chunk.  Bank ``k``'s
-    trigger/edges are byte-identical to :func:`xcorr_detect` run with
-    bank ``k``'s own coefficients and threshold over the same stream.
+    Metric, threshold compare and rising-edge extraction in one call,
+    so the DSP core consumes edge indices directly.  ``thresholds`` is
+    ``(K,)`` (one per bank) and ``last`` the ``(K,)`` per-bank trigger
+    carry from the previous chunk.  Bank ``k``'s trigger/edges are
+    byte-identical to a ``K = 1`` detector holding bank ``k`` alone,
+    run with its own threshold over the same stream.
     """
     thresholds = _check_stacked_thresholds(thresholds, coeffs)
     if last is None:
@@ -512,94 +385,21 @@ def xcorr_detect_stacked_batch(blocks: np.ndarray, lengths: np.ndarray,
                                last: np.ndarray | None = None,
                                backend: "str | KernelBackend | None" = None
                                ) -> StackedBatchResult:
-    """Chained batch rows through the stacked detector (``K`` banks).
+    """Run a batch of chained sample rows through the stacked detector.
 
-    The row-stitching contract of :func:`xcorr_detect_batch` holds
-    per bank: the ``(batch, K, width)`` planes equal what streaming
-    :func:`xcorr_detect_stacked` produces over the concatenated rows,
-    which in turn equals ``K`` independent single-bank streams.
+    ``blocks`` is ``(batch, width)`` complex with row ``b`` valid
+    through ``lengths[b]`` (rows may be zero-padded to the common
+    width).  Rows are *chained*: each row's sign history is stitched
+    from the previous row's valid tail, so the ``(batch, K, width)``
+    planes equal what streaming :func:`xcorr_detect_stacked` produces
+    over the concatenated rows — tests pin this.  ``history``
+    (``(2 * (taps - 1),)`` int8) and ``last`` (``(K,)`` bools) seed the
+    chain and come back updated in the result.
     """
     thresholds = _check_stacked_thresholds(thresholds, coeffs)
     if last is None:
         last = np.zeros(coeffs.n_banks, dtype=bool)
     last = np.asarray(last, dtype=bool)
-    blocks = np.asarray(blocks)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if blocks.ndim != 2 or lengths.shape != (blocks.shape[0],):
-        raise StreamError("expected (batch, width) blocks with one "
-                          "length per row")
-    if np.any(lengths < 1) or np.any(lengths > blocks.shape[1]):
-        raise StreamError("row lengths must be in [1, width]")
-    batch, width = blocks.shape
-    pairs = coeffs.history_pairs
-    if history is None:
-        history = np.zeros(2 * pairs, dtype=np.int8)
-
-    plane = np.empty((batch, 2 * (pairs + width)), dtype=np.int8)
-    sign_plane(blocks, out=plane[:, 2 * pairs:])
-    plane[0, :2 * pairs] = history
-    if batch > 1 and pairs:
-        if np.all(lengths[:-1] >= pairs):
-            cols = 2 * lengths[:-1, None] + np.arange(2 * pairs)[None, :]
-            plane[1:, :2 * pairs] = np.take_along_axis(plane[:-1], cols,
-                                                       axis=1)
-        else:
-            for b in range(1, batch):
-                start = 2 * lengths[b - 1]
-                plane[b, :2 * pairs] = \
-                    plane[b - 1, start:start + 2 * pairs]
-
-    metric = xcorr_metric_stacked(plane, coeffs, backend=backend)
-    trigger = metric > thresholds[None, :, None]
-    edge_plane = np.empty_like(trigger)
-    for k in range(coeffs.n_banks):
-        edge_plane[:, k, :] = chained_edges(
-            np.ascontiguousarray(trigger[:, k, :]), lengths, bool(last[k]))
-
-    tail_start = 2 * lengths[-1]
-    return StackedBatchResult(
-        metric=metric,
-        trigger=trigger,
-        edge_plane=edge_plane,
-        history=plane[-1, tail_start:tail_start + 2 * pairs].copy(),
-        last=trigger[-1, :, lengths[-1] - 1].copy(),
-    )
-
-
-def xcorr_detect(plane: np.ndarray, coeffs: XcorrCoefficients,
-                 threshold: int, last: bool = False,
-                 backend: "str | KernelBackend | None" = None,
-                 scratch=None) -> XcorrDetection:
-    """The fused streaming datapath: metric, trigger, and edges.
-
-    One backend call replaces the seed's four correlation passes, and
-    the threshold compare plus rising-edge extraction ride along so
-    the DSP core consumes edge indices directly.
-    """
-    metric = xcorr_metric(plane, coeffs, backend=backend, scratch=scratch)
-    trigger = metric > threshold
-    edges = np.flatnonzero(rising_edge_plane(trigger, last))
-    new_last = bool(trigger[-1]) if trigger.size else last
-    return XcorrDetection(metric=metric, trigger=trigger, edges=edges,
-                          last=new_last)
-
-
-def xcorr_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
-                       coeffs: XcorrCoefficients, threshold: int,
-                       history: np.ndarray | None = None,
-                       last: bool = False,
-                       backend: "str | KernelBackend | None" = None
-                       ) -> XcorrBatchResult:
-    """Run a batch of chained sample rows through the fused detector.
-
-    ``blocks`` is ``(batch, width)`` complex with row ``b`` valid
-    through ``lengths[b]`` (rows may be zero-padded to the common
-    width).  Rows are *chained*: each row's sign history is stitched
-    from the previous row's valid tail, so the result is byte-identical
-    to feeding the rows one by one through the streaming facade —
-    tests pin this.  ``history`` (``(2 * (taps - 1),)`` int8) and
-    ``last`` seed the chain and come back updated in the result.
-    """
     blocks = np.asarray(blocks)
     lengths = np.asarray(lengths, dtype=np.int64)
     if blocks.ndim != 2 or lengths.shape != (blocks.shape[0],):
@@ -631,15 +431,18 @@ def xcorr_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
                 plane[b, :2 * pairs] = \
                     plane[b - 1, start:start + 2 * pairs]
 
-    metric = xcorr_metric(plane, coeffs, backend=backend)
-    trigger = metric > threshold
-    edge_plane = chained_edges(trigger, lengths, last)
+    metric = xcorr_metric_stacked(plane, coeffs, backend=backend)
+    trigger = metric > thresholds[None, :, None]
+    edge_plane = np.empty_like(trigger)
+    for k in range(coeffs.n_banks):
+        edge_plane[:, k, :] = chained_edges(
+            np.ascontiguousarray(trigger[:, k, :]), lengths, bool(last[k]))
 
     tail_start = 2 * lengths[-1]
-    return XcorrBatchResult(
+    return StackedBatchResult(
         metric=metric,
         trigger=trigger,
         edge_plane=edge_plane,
         history=plane[-1, tail_start:tail_start + 2 * pairs].copy(),
-        last=bool(trigger[-1, lengths[-1] - 1]),
+        last=trigger[-1, :, lengths[-1] - 1].copy(),
     )

@@ -164,7 +164,7 @@ class JammerConsole:
         from repro.experiments.detection import threshold_for_false_alarm_rate
 
         rate = float(args[0])
-        coeffs_i, coeffs_q = self.device.core.correlator.coefficients
+        coeffs_i, coeffs_q = self.device.core.correlator.bank_coefficients(0)
         if not coeffs_i.any() and not coeffs_q.any():
             return "error: load a template before calibrating (see 'template')"
         threshold = threshold_for_false_alarm_rate(coeffs_i, coeffs_q, rate)
@@ -268,7 +268,7 @@ class JammerConsole:
         lines = [
             f"frequency     : {self.device.frontend.center_freq_hz / 1e9:.4f} GHz",
             f"template      : {self._template_name or '(none)'}",
-            f"xcorr thresh  : {core.correlator.threshold}",
+            f"xcorr thresh  : {core.correlator.thresholds[0]}",
             f"energy thresh : rise {core.energy.threshold_high_db} dB / "
             f"fall {core.energy.threshold_low_db} dB",
             f"trigger       : {self._trigger_desc}",

@@ -115,5 +115,7 @@ class TestJammerUnderMultipath:
             out_rate=units.BASEBAND_RATE, duration=300e-6,
             noise_power=1e-4, rng=rng)
         ci, cq = quantize_coefficients(wifi_short_preamble_template())
-        corr = CrossCorrelator(ci, cq, threshold=22_000)
-        assert corr.process(rx).any()
+        corr = CrossCorrelator()
+        corr.load_banks([(ci, cq)], [22_000])
+        trigger, _edges = corr.detect(rx)
+        assert trigger.any()

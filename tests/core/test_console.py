@@ -18,7 +18,7 @@ class TestCommands:
     def test_template_loads_coefficients(self, console):
         reply = console.execute("template wifi-short")
         assert "wifi-short" in reply
-        ci, _cq = console.device.core.correlator.coefficients
+        ci, _cq = console.device.core.correlator.bank_coefficients(0)
         assert ci.any()
 
     def test_unknown_template(self, console):
@@ -26,7 +26,7 @@ class TestCommands:
 
     def test_threshold(self, console):
         console.execute("threshold 12345")
-        assert console.device.core.correlator.threshold == 12345
+        assert console.device.core.correlator.thresholds[0] == 12345
 
     def test_energy(self, console):
         console.execute("energy 12 6")
@@ -140,9 +140,9 @@ class TestFaCalibration:
         console.execute("template wifi-long")
         reply = console.execute("fa 0.083")
         assert "calibrated" in reply
-        strict = console.device.core.correlator.threshold
+        strict = console.device.core.correlator.thresholds[0]
         console.execute("fa 0.52")
-        loose = console.device.core.correlator.threshold
+        loose = console.device.core.correlator.thresholds[0]
         assert strict > loose > 0
 
     def test_fa_requires_template(self, console):

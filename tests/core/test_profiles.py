@@ -123,7 +123,7 @@ class TestConsoleIntegration:
 
         other = JammerConsole()
         assert "loaded" in other.execute(f"load {path}")
-        assert other.device.core.correlator.threshold == 11950
+        assert other.device.core.correlator.thresholds[0] == 11950
 
     def test_console_load_error_reported(self):
         from repro.tools.console import JammerConsole

@@ -39,7 +39,8 @@ class TestFalseAlarmCalibration:
         ci, cq = quantize_coefficients(template)
         target = 2000.0  # triggers/s, measurable in a short run
         threshold = threshold_for_false_alarm_rate(ci, cq, target)
-        corr = CrossCorrelator(ci, cq, threshold=threshold)
+        corr = CrossCorrelator()
+        corr.load_banks([(ci, cq)], [threshold])
         measured = measured_false_alarm_rate(corr, duration_s=0.15, rng=rng)
         assert measured == pytest.approx(target, rel=0.6)
 
@@ -80,32 +81,31 @@ class TestBatchedTrialIdentity:
             assert batched == looped
 
     def test_false_alarm_rate_matches_streaming_facade(self, rng):
-        """The chained batch calibration equals process()+rising_edges."""
-        from repro.hw.trigger import rising_edges
-
+        """The chained batch calibration equals streaming detect()."""
         template = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         ci, cq = quantize_coefficients(template)
         threshold = threshold_for_false_alarm_rate(ci, cq, 3000.0)
         duration_s = 0.01
         seed = 424242
 
+        batched_corr = CrossCorrelator()
+        batched_corr.load_banks([(ci, cq)], [threshold])
         batched = measured_false_alarm_rate(
-            CrossCorrelator(ci, cq, threshold=threshold), duration_s,
-            np.random.default_rng(seed), chunk_samples=1 << 16)
+            batched_corr, duration_s, np.random.default_rng(seed),
+            chunk_samples=1 << 16)
 
         from repro import units
         from repro.channel.awgn import awgn
 
-        corr = CrossCorrelator(ci, cq, threshold=threshold)
+        corr = CrossCorrelator()
+        corr.load_banks([(ci, cq)], [threshold])
         stream_rng = np.random.default_rng(seed)
         remaining = int(duration_s * units.BASEBAND_RATE)
         triggers = 0
-        last = False
         while remaining > 0:
             n = min(1 << 16, remaining)
-            trig = corr.process(awgn(n, 1.0, stream_rng))
-            triggers += rising_edges(trig, last).size
-            last = bool(trig[-1])
+            _trigger, edges = corr.detect(awgn(n, 1.0, stream_rng))
+            triggers += edges[0].size
             remaining -= n
         assert batched == triggers / duration_s
 

@@ -1,9 +1,10 @@
 """The stacked multi-standard bank: facade, register bus, driver.
 
-Covers the :class:`repro.hw.BankedCrossCorrelator` facade contract,
-the banked register-bus control plane (``REG_BANK_COUNT`` mode switch,
-windowed coefficient writes, direct-mapped thresholds), hot-swapping a
-bank mid-stream, the ``which_protocol`` telemetry dimension, and the
+Covers the ``K``-bank :class:`repro.hw.CrossCorrelator` facade
+contract, the banked register-bus control plane (``REG_BANK_COUNT``
+mode switch, windowed coefficient writes, direct-mapped thresholds),
+the sign history surviving a mode switch, hot-swapping a bank
+mid-stream, the ``which_protocol`` telemetry dimension, and the
 stale-threshold regression: :meth:`ReactiveJammer.configure` must ship
 every per-bank threshold before the count write arms the stacked
 correlator.
@@ -20,16 +21,13 @@ from repro.core.events import JammingEventBuilder
 from repro.core.jammer import ReactiveJammer
 from repro.core.presets import reactive_jammer
 from repro.errors import ConfigurationError, StreamError
-from repro.hw import BankedCrossCorrelator, register_map as regmap
-from repro.hw.cross_correlator import (
-    METRIC_MAX,
-    CrossCorrelator,
-    quantize_coefficients,
-)
+from repro.hw import CrossCorrelator, register_map as regmap
+from repro.hw.cross_correlator import METRIC_MAX, quantize_coefficients
 from repro.hw.trigger import TriggerSource
 from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import UsrpN210
 from repro.telemetry.metrics import MetricsRegistry
+from tests.kernels.test_xcorr_kernels import _reference_metric
 
 
 def _random_bank(rng):
@@ -48,7 +46,7 @@ def template_b(rng2):
 
 class TestFacadeValidation:
     def test_unconfigured_facade_refuses_the_datapath(self):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         assert banked.n_banks == 0
         assert banked.prepared_coefficients is None
         with pytest.raises(ConfigurationError):
@@ -59,7 +57,7 @@ class TestFacadeValidation:
             banked.set_threshold(0, 100)
 
     def test_bank_count_bounds(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         with pytest.raises(ConfigurationError):
             banked.load_banks([], [])
         too_many = [_random_bank(rng) for _ in range(regmap.MAX_BANKS + 1)]
@@ -68,14 +66,14 @@ class TestFacadeValidation:
                               np.zeros(regmap.MAX_BANKS + 1))
 
     def test_bad_banks_rejected(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         with pytest.raises(ConfigurationError):
             banked.load_banks([(np.zeros(32), np.zeros(32))], [100])
         with pytest.raises(ConfigurationError):
             banked.load_banks([(np.full(64, 5), np.zeros(64))], [100])
 
     def test_threshold_validation(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banks = [_random_bank(rng)]
         with pytest.raises(ConfigurationError):
             banked.load_banks(banks, [1, 2])  # count mismatch
@@ -90,7 +88,7 @@ class TestFacadeValidation:
         assert banked.thresholds[0] == 0xFFFF_FFFF
 
     def test_labels_default_and_rename(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks([_random_bank(rng), _random_bank(rng)],
                           [10, 20])
         assert banked.labels == ("bank0", "bank1")
@@ -102,7 +100,7 @@ class TestFacadeValidation:
         assert banked.labels == ("wifi",)
 
     def test_rejects_multidimensional_chunks(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks([_random_bank(rng)], [0])
         with pytest.raises(StreamError):
             banked.detect(np.zeros((2, 8), dtype=complex))
@@ -118,18 +116,20 @@ class TestFacadeStreaming:
         rx[500:564] += template_a
         rx[1800:1864] += template_b
 
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks(banks, thresholds, labels=["a", "b"])
-        singles = [CrossCorrelator(ci, cq, threshold=thr)
-                   for (ci, cq), thr in zip(banks, thresholds)]
         _trigger, edges = banked.detect(rx)
-        for k, single in enumerate(singles):
-            _t, single_edges = single.detect(rx)
-            np.testing.assert_array_equal(edges[k], single_edges)
+        for k, ((ci, cq), thr) in enumerate(zip(banks, thresholds)):
+            # Each bank's edges are the rising edges of its own
+            # np.correlate reference trigger.
+            single = _reference_metric(rx, ci, cq) > thr
+            expected = np.flatnonzero(
+                single & ~np.concatenate([[False], single[:-1]]))
+            np.testing.assert_array_equal(edges[k], expected)
         assert edges[0].size == 1 and edges[1].size == 1
 
     def test_load_banks_clears_carries_but_keeps_history(self, rng):
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banks = [_random_bank(rng)]
         banked.load_banks(banks, [0])  # threshold 0: fires everywhere
         _t, edges = banked.detect(rng.normal(size=50)
@@ -148,7 +148,7 @@ class TestFacadeStreaming:
 
     def test_reset_and_clear_last(self, rng):
         banks = [_random_bank(rng)]
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks(banks, [0])
         samples = rng.normal(size=40) + 1j * rng.normal(size=40)
         banked.detect(samples)
@@ -156,23 +156,23 @@ class TestFacadeStreaming:
         _t, edges = banked.detect(samples)
         assert 0 in edges[0]  # carry forgotten
         banked.reset()
-        fresh = BankedCrossCorrelator()
+        fresh = CrossCorrelator()
         fresh.load_banks(banks, [0])
         np.testing.assert_array_equal(banked.metric(samples),
                                       fresh.metric(samples))
 
     def test_attach_metrics_counts_chunks_and_samples(self, rng):
         registry = MetricsRegistry()
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks([_random_bank(rng)], [1000])
         banked.attach_metrics(registry)
         banked.detect(rng.normal(size=100) + 0j)
         banked.metric(rng.normal(size=50) + 0j)
-        assert registry.counter("kernels.xcorr_stacked.chunks").value == 2
-        assert registry.counter("kernels.xcorr_stacked.samples").value == 150
+        assert registry.counter("kernels.xcorr.chunks").value == 2
+        assert registry.counter("kernels.xcorr.samples").value == 150
         banked.attach_metrics(None)
         banked.detect(rng.normal(size=10) + 0j)
-        assert registry.counter("kernels.xcorr_stacked.chunks").value == 2
+        assert registry.counter("kernels.xcorr.chunks").value == 2
 
 
 @pytest.fixture
@@ -273,6 +273,58 @@ class TestBankedCoreMode:
             device.bus.write(regmap.REG_BANK_COUNT, regmap.MAX_BANKS + 1)  # repro-lint: disable=RJ002 (deliberate overflow, must be rejected)
         assert device.core.bank_count == 2  # unchanged by the rejects
 
+    def test_bank_select_register_bounds(self, banked_rig, template_a):
+        # Regression: an out-of-range select used to be latched, and the
+        # next coefficient-window word then raised IndexError.
+        device, _driver = banked_rig
+        device.bus.write(regmap.REG_BANK_SELECT, 1)
+        with pytest.raises(ConfigurationError):
+            device.bus.write(regmap.REG_BANK_SELECT, regmap.MAX_BANKS)  # repro-lint: disable=RJ002 (deliberate overflow, must be rejected)
+        before = device.core.banked.bank_coefficients(1)
+        device.bus.write(regmap.REG_BANK_COEFF_I_BASE, 0)
+        # The word lands in bank 1, the last legal select.
+        after = device.core.banked.bank_coefficients(1)
+        assert not np.array_equal(after[0], before[0])
+
+
+class TestModeSwitchKeepsHistory:
+    """Regression: switching ``REG_BANK_COUNT`` between 0 (the paper's
+    correlator) and >= 1 (the stacked bank) at a chunk boundary must
+    hand the received sign history across, so a preamble straddling
+    the switch fires on the same sample as in an unswitched run."""
+
+    BOUNDARY = 2048
+
+    def _xcorr_times(self, template, rx, first, second):
+        device = UsrpN210()
+        driver = UhdDriver(device)
+        # Both register sets hold the same template and threshold.
+        driver.set_correlator_banks([template], [30_000])
+        driver.set_bank_count(0)
+        driver.set_correlator_template(template)
+        driver.set_xcorr_threshold(30_000)
+        driver.set_bank_count(first)
+        times = []
+        for chunk, count in ((rx[:self.BOUNDARY], first),
+                             (rx[self.BOUNDARY:], second)):
+            if count != device.core.bank_count:
+                driver.set_bank_count(count)
+            out = device.core.process(chunk)
+            times += [d.time for d in out.detections
+                      if d.source is TriggerSource.XCORR]
+        return times
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (1, 0)])
+    def test_straddling_preamble_survives_the_switch(self, rng, template_a,
+                                                     first, second):
+        rx = awgn(2 * self.BOUNDARY, 1e-6, rng)
+        start = self.BOUNDARY - 32
+        rx[start:start + 64] += template_a
+        expected = [start + 63]
+        assert self._xcorr_times(template_a, rx, first, first) == expected
+        assert self._xcorr_times(template_a, rx, second, second) == expected
+        assert self._xcorr_times(template_a, rx, first, second) == expected
+
 
 class TestWhichProtocolTelemetry:
     def test_per_protocol_counters(self, rng, banked_rig, template_a,
@@ -290,8 +342,7 @@ class TestWhichProtocolTelemetry:
             "detect.which_protocol.wifi").value == 1
         assert registry.counter(
             "detect.which_protocol.zigbee").value == 2
-        assert registry.counter(
-            "kernels.xcorr_stacked.chunks").value >= 1
+        assert registry.counter("kernels.xcorr.chunks").value >= 1
 
 
 class TestConfigureAtomicity:

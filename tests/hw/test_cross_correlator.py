@@ -1,4 +1,9 @@
-"""Tests for the sign-bit cross-correlator (paper Fig. 3)."""
+"""Tests for the sign-bit cross-correlator (paper Fig. 3).
+
+The paper's correlator is the ``K = 1`` case of the stacked
+:class:`CrossCorrelator`: one loaded bank, whose metric and trigger
+are row 0 of the per-bank planes.
+"""
 
 from __future__ import annotations
 
@@ -35,6 +40,19 @@ def reference_metric(signal: np.ndarray, coeffs_i: np.ndarray,
     return out
 
 
+def paper_correlator(coeffs_i, coeffs_q, threshold=METRIC_MAX):
+    """The paper's single correlator: one bank (K = 1)."""
+    corr = CrossCorrelator()
+    corr.load_banks([(coeffs_i, coeffs_q)], [threshold])
+    return corr
+
+
+def trigger(corr, signal):
+    """Bank 0's trigger plane for one chunk."""
+    plane, _edges = corr.detect(signal)
+    return plane[0]
+
+
 @pytest.fixture
 def template(rng):
     return np.exp(1j * rng.uniform(0, 2 * np.pi, CORRELATOR_LENGTH))
@@ -68,106 +86,106 @@ class TestQuantizeCoefficients:
 class TestCrossCorrelator:
     def test_matches_reference_implementation(self, rng, template):
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq)
+        corr = paper_correlator(ci, cq)
         signal = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-        fast = corr.metric(signal)
+        fast = corr.metric(signal)[0]
         slow = reference_metric(signal, ci, cq)
         assert np.array_equal(fast, slow)
 
     def test_chunked_equals_single_shot(self, rng, template):
         ci, cq = quantize_coefficients(template)
         signal = rng.standard_normal(500) + 1j * rng.standard_normal(500)
-        whole = CrossCorrelator(ci, cq).metric(signal)
-        chunked = CrossCorrelator(ci, cq)
+        whole = paper_correlator(ci, cq).metric(signal)
+        chunked = paper_correlator(ci, cq)
         parts = [chunked.metric(signal[i:i + 61]) for i in range(0, 500, 61)]
-        assert np.array_equal(np.concatenate(parts), whole)
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
     def test_peak_at_template_end(self, rng, template):
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq)
+        corr = paper_correlator(ci, cq)
         signal = 0.001 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
         signal[100:164] += template
-        metric = corr.metric(signal)
+        metric = corr.metric(signal)[0]
         assert int(np.argmax(metric)) == 163
 
     def test_detection_latency_is_64_samples(self, rng, template):
         # T_xcorr_det: the trigger fires exactly when the 64th template
         # sample arrives (2.56 us at 25 MSPS).
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq, threshold=30_000)
+        corr = paper_correlator(ci, cq, threshold=30_000)
         signal = 0.001 * (rng.standard_normal(400) + 1j * rng.standard_normal(400))
         signal[100:164] += template
-        trig = corr.process(signal)
+        trig = trigger(corr, signal)
         first = int(np.flatnonzero(trig)[0])
         assert first == 100 + CORRELATOR_LENGTH - 1
 
     def test_metric_bounded(self, rng, template):
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq)
+        corr = paper_correlator(ci, cq)
         signal = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
         assert np.max(corr.metric(signal)) <= METRIC_MAX
 
     def test_threshold_setter_validation(self, template):
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq)
+        corr = paper_correlator(ci, cq)
         with pytest.raises(ConfigurationError):
-            corr.threshold = -1
+            corr.set_threshold(0, -1)
         with pytest.raises(ConfigurationError):
-            corr.threshold = 1 << 32
+            corr.set_threshold(0, 1 << 32)
 
     def test_runtime_coefficient_reload(self, rng, template):
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq, threshold=30_000)
+        corr = paper_correlator(ci, cq, threshold=30_000)
         other = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         signal = 0.001 * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
         signal[50:114] += other
         # Template mismatch: no trigger.
-        assert not corr.process(signal).any()
+        assert not trigger(corr, signal).any()
         # Reload for the other signal: triggers.
         corr.reset()
         oi, oq = quantize_coefficients(other)
-        corr.load_coefficients(oi, oq)
-        assert corr.process(signal).any()
+        corr.load_bank(0, oi, oq)
+        assert trigger(corr, signal).any()
 
     def test_coefficients_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
-            CrossCorrelator(np.full(64, 5), np.zeros(64))
+            paper_correlator(np.full(64, 5), np.zeros(64))
 
     def test_missing_bank_rejected(self):
-        corr = CrossCorrelator()
+        corr = paper_correlator(np.zeros(64), np.zeros(64))
         with pytest.raises(ConfigurationError):
-            corr.load_coefficients(np.zeros(64), None)
+            corr.load_bank(0, np.zeros(64), None)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ConfigurationError):
-            CrossCorrelator(np.zeros(32), np.zeros(32))
+            paper_correlator(np.zeros(32), np.zeros(32))
 
     def test_2d_input_rejected(self, template):
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq)
+        corr = paper_correlator(ci, cq)
         with pytest.raises(StreamError):
             corr.metric(np.zeros((4, 4), dtype=complex))
 
     def test_empty_chunk(self, template):
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq)
-        assert corr.metric(np.zeros(0, dtype=complex)).size == 0
+        corr = paper_correlator(ci, cq)
+        assert corr.metric(np.zeros(0, dtype=complex)).shape == (1, 0)
 
     def test_phase_rotation_tolerated_within_90deg_resolution(self, rng, template):
         # The sign slicer quantizes phase to 90 degrees; a match still
         # clears a mid-level threshold at any carrier phase.
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq, threshold=20_000)
+        corr = paper_correlator(ci, cq, threshold=20_000)
         for phase in np.linspace(0, 2 * np.pi, 8, endpoint=False):
             corr.reset()
             signal = 0.001 * (rng.standard_normal(200)
                               + 1j * rng.standard_normal(200))
             signal[64:128] += template * np.exp(1j * phase)
-            assert corr.process(signal).any(), f"missed at phase {phase:.2f}"
+            assert trigger(corr, signal).any(), f"missed at phase {phase:.2f}"
 
     def test_scale_invariance_of_sign_slicing(self, rng, template):
         ci, cq = quantize_coefficients(template)
         signal = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-        a = CrossCorrelator(ci, cq).metric(signal)
-        b = CrossCorrelator(ci, cq).metric(signal * 1000.0)
+        a = paper_correlator(ci, cq).metric(signal)
+        b = paper_correlator(ci, cq).metric(signal * 1000.0)
         assert np.array_equal(a, b)

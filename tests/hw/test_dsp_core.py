@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,14 +49,14 @@ class TestRegisterPlane:
         core = CustomDspCore()
         program_template(core, template)
         ci, cq = quantize_coefficients(template)
-        got_i, got_q = core.correlator.coefficients
+        got_i, got_q = core.correlator.bank_coefficients(0)
         assert np.array_equal(got_i, ci)
         assert np.array_equal(got_q, cq)
 
     def test_threshold_register(self, template):
         core = CustomDspCore()
         core.bus.write(regmap.REG_XCORR_THRESHOLD, 12345)
-        assert core.correlator.threshold == 12345
+        assert core.correlator.thresholds.tolist() == [12345]
 
     def test_energy_thresholds(self):
         core = CustomDspCore()
@@ -181,6 +183,31 @@ class TestDataPath:
         core = make_core(template)
         out = core.process(np.zeros(0, dtype=complex))
         assert out.tx.size == 0
+
+    def test_nan_samples_saturate_like_zeros(self, rng, template):
+        # NaN has no ADC level: the IQ16 quantizer maps it to 0, so a
+        # chunk with NaN samples must behave exactly like the same
+        # chunk with zeros there — no spurious energy edges, no numpy
+        # cast warning.
+        rx = awgn(2000, 1e-6, rng)
+        rx[500:564] += template
+        holed = rx.copy()
+        holed[960:1040] = np.nan
+        holed[1500] = complex(np.nan, 0.25)
+        zeroed = rx.copy()
+        zeroed[960:1040] = 0
+        zeroed[1500] = 0.25j
+        outputs = []
+        for signal in (holed, zeroed):
+            core = make_core(template)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                outputs.append([core.process(signal[i:i + 1000])
+                                for i in (0, 1000)])
+        for got, want in zip(*outputs):
+            assert got.detections == want.detections
+            assert got.jams == want.jams
+            np.testing.assert_array_equal(got.tx, want.tx)
 
     def test_replay_waveform_echoes_preamble(self, rng, template):
         core = make_core(template, waveform=JamWaveform.REPLAY, uptime=64)

@@ -101,7 +101,7 @@ def test_fast_path_matches_reference(uptime, delay, seed):
     rx[480:544] += template
 
     core = program_core(template, threshold, uptime, delay)
-    ci, cq = core.correlator.coefficients
+    ci, cq = core.correlator.bank_coefficients(0)
     reference = ReferenceCore(ci, cq, threshold, uptime, delay)
 
     tx_parts, detections, jams = [], [], []
@@ -132,7 +132,7 @@ def test_reference_agrees_on_quiet_input():
     rng = np.random.default_rng(9)
     template = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
     core = program_core(template, 30_000, 50, 0)
-    ci, cq = core.correlator.coefficients
+    ci, cq = core.correlator.bank_coefficients(0)
     reference = ReferenceCore(ci, cq, 30_000, 50, 0)
     rx = awgn(800, 1e-6, rng)
     out = core.process(rx)

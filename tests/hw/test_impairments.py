@@ -114,9 +114,11 @@ class TestDdcIntegration:
 
         template = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         ci, cq = quantize_coefficients(template)
-        corr = CrossCorrelator(ci, cq, threshold=25_000)
+        corr = CrossCorrelator()
+        corr.load_banks([(ci, cq)], [25_000])
         block = 0.01 * (rng.standard_normal(500)
                         + 1j * rng.standard_normal(500))
         block[200:264] += 0.3 * template
         impaired = TYPICAL_N210.apply(block)
-        assert corr.process(impaired).any()
+        trigger, _edges = corr.detect(impaired)
+        assert trigger.any()

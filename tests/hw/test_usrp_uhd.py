@@ -112,7 +112,7 @@ class TestUhdDriver:
     def test_template_ships_over_register_bus(self, rig, template):
         device, driver = rig
         ci, cq = quantize_coefficients(template)
-        got_i, got_q = device.core.correlator.coefficients
+        got_i, got_q = device.core.correlator.bank_coefficients(0)
         assert np.array_equal(got_i, ci)
         assert np.array_equal(got_q, cq)
 

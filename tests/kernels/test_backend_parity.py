@@ -1,9 +1,10 @@
 """Every registered backend is byte-identical to the numpy reference.
 
 These are property tests: random sign planes and random 3-bit
-coefficient banks, with the numpy reference compared against an int64
-brute-force evaluation (and against the numba JIT when that optional
-dependency is installed — the numba cases auto-skip otherwise).
+coefficient banks run as a ``K = 1`` stack, with the numpy reference
+compared against an int64 brute-force evaluation (and against the
+numba JIT when that optional dependency is installed — the numba cases
+auto-skip otherwise).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.kernels import (
     BackendUnavailable,
     available_backends,
     get_backend,
-    prepare_coefficients,
+    prepare_stacked,
 )
 
 
@@ -67,9 +68,9 @@ class TestNumpyAgainstBruteForce:
                          dtype=np.int8)
         if plane.size // 2 < ci.size:
             plane = np.pad(plane, (0, 2 * ci.size - plane.size))
-        prepared = prepare_coefficients(ci, cq)
-        got = get_backend("numpy").xcorr_metric(plane, prepared)
-        np.testing.assert_array_equal(got, _brute_metric(plane, ci, cq))
+        prepared = prepare_stacked([(ci, cq)])
+        got = get_backend("numpy").xcorr_metric_stacked(plane, prepared)
+        np.testing.assert_array_equal(got[0], _brute_metric(plane, ci, cq))
 
 
 class TestNumbaParity:
@@ -84,10 +85,10 @@ class TestNumbaParity:
                          dtype=np.int8)
         if plane.size // 2 < ci.size:
             plane = np.pad(plane, (0, 2 * ci.size - plane.size))
-        prepared = prepare_coefficients(ci, cq)
+        prepared = prepare_stacked([(ci, cq)])
         np.testing.assert_array_equal(
-            backend.xcorr_metric(plane, prepared),
-            get_backend("numpy").xcorr_metric(plane, prepared))
+            backend.xcorr_metric_stacked(plane, prepared),
+            get_backend("numpy").xcorr_metric_stacked(plane, prepared))
 
     @given(st.integers(1, 16), st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -105,11 +106,14 @@ class TestAllAvailableBackends:
         rng = np.random.default_rng(9)
         ci = rng.integers(-4, 4, 64)
         cq = rng.integers(-4, 4, 64)
-        prepared = prepare_coefficients(ci, cq)
+        prepared = prepare_stacked([(ci, cq)])
         plane = rng.choice(
             np.array([-1, 1], dtype=np.int8), size=2 * (63 + 777))
-        reference = get_backend("numpy").xcorr_metric(plane, prepared)
+        reference = get_backend("numpy").xcorr_metric_stacked(plane,
+                                                              prepared)
+        np.testing.assert_array_equal(reference[0],
+                                      _brute_metric(plane, ci, cq))
         for name in available_backends():
             np.testing.assert_array_equal(
-                get_backend(name).xcorr_metric(plane, prepared),
+                get_backend(name).xcorr_metric_stacked(plane, prepared),
                 reference, err_msg=f"backend {name!r} diverged")

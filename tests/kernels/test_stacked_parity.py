@@ -2,11 +2,12 @@
 
 Hypothesis drives random coefficient banks, random thresholds, and —
 the load-bearing part — *random chunk splits* of one sample stream.
-However the stream is sliced, the streaming
-:class:`repro.hw.BankedCrossCorrelator` must stay byte-identical to K
-independent streaming :class:`repro.hw.CrossCorrelator` instances,
-bank by bank: metric plane, trigger plane, rising edges, and the
-per-bank carry state that chains edges across chunk boundaries.
+However the stream is sliced, a streaming ``K``-bank
+:class:`repro.hw.CrossCorrelator` must stay byte-identical to K
+independent streaming ``K = 1`` instances, bank by bank: metric plane,
+trigger plane, rising edges, and the per-bank carry state that chains
+edges across chunk boundaries.  The metric leg also checks every bank
+against the ``np.correlate`` reference over the whole stream.
 
 A numba-vs-numpy leg pins backend parity for the stacked op and
 auto-skips when the optional JIT dependency is absent.
@@ -18,8 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hw import BankedCrossCorrelator
-from repro.hw.cross_correlator import CrossCorrelator
+from repro.hw import CrossCorrelator
 from repro.hw.register_map import CORRELATOR_LENGTH
 from repro.kernels import (
     BackendUnavailable,
@@ -28,6 +28,7 @@ from repro.kernels import (
     xcorr_detect_stacked,
     xcorr_detect_stacked_batch,
 )
+from tests.kernels.test_xcorr_kernels import _reference_metric
 
 #: seed for the data stream, bank count, per-chunk sizes (zeros allowed
 #: — an empty chunk must be a no-op), and a per-bank threshold scale.
@@ -45,6 +46,13 @@ def _make_banks(rng, n_banks):
             for _ in range(n_banks)]
 
 
+def _single(coeffs_i, coeffs_q, threshold=0):
+    """An independent ``K = 1`` correlator holding one bank."""
+    correlator = CrossCorrelator()
+    correlator.load_banks([(coeffs_i, coeffs_q)], [threshold])
+    return correlator
+
+
 class TestStreamingChunkSplits:
     @given(stream_case)
     @settings(max_examples=40, deadline=None)
@@ -57,11 +65,10 @@ class TestStreamingChunkSplits:
         samples = rng.normal(size=sum(chunk_sizes)) \
             + 1j * rng.normal(size=sum(chunk_sizes))
 
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks(banks, thresholds)
-        singles = [CrossCorrelator(ci, cq, threshold=int(thr))
+        singles = [_single(ci, cq, thr)
                    for (ci, cq), thr in zip(banks, thresholds)]
-        lasts = [False] * n_banks
 
         position = 0
         for size in chunk_sizes:
@@ -70,11 +77,9 @@ class TestStreamingChunkSplits:
             trigger, edges = banked.detect(chunk)
             assert trigger.shape == (n_banks, size)
             for k, single in enumerate(singles):
-                t, e = single.detect(chunk, last=lasts[k])
-                if t.size:
-                    lasts[k] = bool(t[-1])
-                np.testing.assert_array_equal(trigger[k], t)
-                np.testing.assert_array_equal(edges[k], e)
+                t, e = single.detect(chunk)
+                np.testing.assert_array_equal(trigger[k], t[0])
+                np.testing.assert_array_equal(edges[k], e[0])
 
     @given(stream_case)
     @settings(max_examples=30, deadline=None)
@@ -85,11 +90,12 @@ class TestStreamingChunkSplits:
         samples = rng.normal(size=sum(chunk_sizes)) \
             + 1j * rng.normal(size=sum(chunk_sizes))
 
-        banked = BankedCrossCorrelator()
+        banked = CrossCorrelator()
         banked.load_banks(banks, np.zeros(n_banks, dtype=np.int64))
-        singles = [CrossCorrelator(ci, cq) for ci, cq in banks]
+        singles = [_single(ci, cq) for ci, cq in banks]
 
         position = 0
+        planes = []
         for size in chunk_sizes:
             chunk = samples[position:position + size]
             position += size
@@ -97,7 +103,14 @@ class TestStreamingChunkSplits:
             assert plane.shape == (n_banks, size)
             for k, single in enumerate(singles):
                 np.testing.assert_array_equal(plane[k],
-                                              single.metric(chunk))
+                                              single.metric(chunk)[0])
+            planes.append(plane)
+        whole = np.concatenate(planes, axis=1)
+        # np.correlate's "valid" mode swaps operands on an empty
+        # stream, so the reference only speaks for non-empty ones.
+        for k, (ci, cq) in enumerate(banks if samples.size else ()):
+            np.testing.assert_array_equal(
+                whole[k], _reference_metric(samples, ci, cq))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
@@ -107,11 +120,11 @@ class TestStreamingChunkSplits:
         thresholds = rng.integers(0, 2_000, n_banks)
         samples = rng.normal(size=300) + 1j * rng.normal(size=300)
 
-        one_shot = BankedCrossCorrelator()
+        one_shot = CrossCorrelator()
         one_shot.load_banks(banks, thresholds)
         _trigger, whole_edges = one_shot.detect(samples)
 
-        chunked = BankedCrossCorrelator()
+        chunked = CrossCorrelator()
         chunked.load_banks(banks, thresholds)
         collected = [[] for _ in range(n_banks)]
         for start in range(0, 300, 77):

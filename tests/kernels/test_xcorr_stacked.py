@@ -1,8 +1,8 @@
 """Correctness of the stacked multi-bank correlation kernels.
 
 The invariant under test throughout: bank ``k`` of one stacked pass is
-byte-identical to an independent single-bank correlator holding only
-bank ``k`` — metric plane, trigger plane, edge lists, and carry state.
+byte-identical to the int64 brute-force correlator over bank ``k``
+alone — metric plane, trigger plane, edge lists, and carry state.
 The prepare step's memoization (bank fingerprints, thresholds) is
 pinned here too.
 """
@@ -14,16 +14,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernels import (
-    prepare_coefficients,
     prepare_stacked,
     sign_plane,
     stacked_bank_program,
-    xcorr_detect,
     xcorr_detect_stacked,
-    xcorr_metric,
     xcorr_metric_stacked,
 )
 from repro.runtime.cache import DEFAULT_CACHE
+from tests.kernels.test_backend_parity import _brute_metric
 
 TAPS = 64
 
@@ -122,9 +120,9 @@ class TestStackedMetric:
         out = xcorr_metric_stacked(plane, stacked)
         assert out.shape == (n_banks, 700)
         assert out.dtype == np.int64
-        for k, bank in enumerate(banks):
-            single = xcorr_metric(plane, prepare_coefficients(*bank))
-            np.testing.assert_array_equal(out[k], single)
+        for k, (ci, cq) in enumerate(banks):
+            np.testing.assert_array_equal(out[k],
+                                          _brute_metric(plane, ci, cq))
 
     def test_variable_tap_banks_match_their_own_history_depth(self):
         # Shorter banks are front-padded; with the shared history the
@@ -137,11 +135,10 @@ class TestStackedMetric:
         stacked = prepare_stacked(banks)
         plane = _plane(rng, 300, stacked.history_pairs)
         out = xcorr_metric_stacked(plane, stacked)
-        for k, bank in enumerate(banks):
-            taps = bank[0].size
-            tail = plane[2 * (stacked.taps - taps):]
-            single = xcorr_metric(tail, prepare_coefficients(*bank))
-            np.testing.assert_array_equal(out[k], single)
+        for k, (ci, cq) in enumerate(banks):
+            tail = plane[2 * (stacked.taps - ci.size):]
+            np.testing.assert_array_equal(out[k],
+                                          _brute_metric(tail, ci, cq))
 
     def test_batched_rows(self):
         rng = np.random.default_rng(7)
@@ -166,12 +163,13 @@ class TestStackedDetect:
         result = xcorr_detect_stacked(plane, stacked, thresholds)
         assert result.trigger.shape == (3, 900)
         assert result.last.shape == (3,)
-        for k, bank in enumerate(banks):
-            single = xcorr_detect(plane, prepare_coefficients(*bank),
-                                  int(thresholds[k]), last=False)
-            np.testing.assert_array_equal(result.trigger[k], single.trigger)
-            np.testing.assert_array_equal(result.edges[k], single.edges)
-            assert bool(result.last[k]) == bool(single.last)
+        for k, (ci, cq) in enumerate(banks):
+            trigger = _brute_metric(plane, ci, cq) > thresholds[k]
+            edges = np.flatnonzero(
+                trigger & ~np.concatenate([[False], trigger[:-1]]))
+            np.testing.assert_array_equal(result.trigger[k], trigger)
+            np.testing.assert_array_equal(result.edges[k], edges)
+            assert bool(result.last[k]) == bool(trigger[-1])
 
     def test_carry_in_suppresses_leading_edge(self):
         rng = np.random.default_rng(9)

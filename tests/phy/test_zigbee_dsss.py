@@ -179,8 +179,10 @@ class TestNewTemplates:
                           power=units.db_to_linear(10.0) * 1e-4)],
             out_rate=25e6, duration=300e-6, noise_power=1e-4, rng=rng)
         ci, cq = quantize_coefficients(zigbee_preamble_template())
-        corr = CrossCorrelator(ci, cq, threshold=25_000)
-        assert corr.process(rx).any()
+        corr = CrossCorrelator()
+        corr.load_banks([(ci, cq)], [25_000])
+        trigger, _edges = corr.detect(rx)
+        assert trigger.any()
 
     def test_dsss_template_detects_preamble(self, rng):
         from repro import units
@@ -201,8 +203,10 @@ class TestNewTemplates:
         # that of the complex templates.
         ci, cq = quantize_coefficients(dsss_preamble_template())
         assert not cq.any()
-        corr = CrossCorrelator(ci, cq, threshold=12_000)
-        assert corr.process(rx).any()
+        corr = CrossCorrelator()
+        corr.load_banks([(ci, cq)], [12_000])
+        trigger, _edges = corr.detect(rx)
+        assert trigger.any()
 
 
 class TestZigbeeExperiment:

@@ -58,7 +58,7 @@ def test_bus_roundtrip_through_the_driver(bank_i, bank_q):
                                 regmap.CORRELATOR_LENGTH) == bank_q
 
     # The hardware block saw exactly what the host sent.
-    loaded_i, loaded_q = device.core.correlator.coefficients
+    loaded_i, loaded_q = device.core.correlator.bank_coefficients(0)
     assert loaded_i.tolist() == bank_i
     assert loaded_q.tolist() == bank_q
 

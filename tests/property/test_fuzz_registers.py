@@ -72,7 +72,7 @@ def test_any_packed_words_yield_legal_coefficients(coefficient_words):
     core = CustomDspCore()
     for offset, word in enumerate(coefficient_words):
         core.bus.write(regmap.REG_COEFF_I_BASE + offset, word)
-    coeffs_i, coeffs_q = core.correlator.coefficients
+    coeffs_i, coeffs_q = core.correlator.bank_coefficients(0)
     # Whatever bits arrive, the unpacked coefficients are 3-bit signed.
     assert np.all(coeffs_i >= -4) and np.all(coeffs_i <= 3)
     assert np.all(coeffs_q >= -4) and np.all(coeffs_q <= 3)

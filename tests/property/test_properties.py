@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.dsp.fixed_point import IQ16, FixedPointFormat, sign_bits_iq
+from repro.dsp.fixed_point import (
+    IQ16,
+    FixedPointFormat,
+    quantize_iq16,
+    sign_bits_iq,
+)
 from repro.dsp.filters import moving_sum
 from repro.dsp.ofdm import OfdmParameters, ofdm_demodulate, ofdm_modulate
 from repro.dsp.resample import RationalResampler
@@ -74,6 +81,19 @@ def test_fixed_point_always_in_range(bits: int, values: list[float]):
     assert np.all(ints >= fmt.min_int)
 
 
+@given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True),
+                min_size=1, max_size=50))
+def test_quantize_iq16_saturates_any_input(values: list[complex]):
+    # An ADC delivers a full-scale code for any input: NaN and +-inf
+    # included, and without numpy cast or overflow warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = quantize_iq16(np.array(values, dtype=np.complex128))
+    for part in (out.real, out.imag):
+        assert np.all(part >= -1.0)
+        assert np.all(part < 1.0)
+
+
 @given(seeds, st.integers(1, 200))
 def test_sign_bits_always_bipolar(seed: int, n: int):
     i, q = sign_bits_iq(complex_signal(seed, n))
@@ -123,6 +143,13 @@ def test_energy_sums_chunking_invariant(seed: int, n_chunks: int):
 # ----------------------------------------------------------------------
 # Cross-correlator
 
+def _paper_correlator(coeffs_i, coeffs_q) -> CrossCorrelator:
+    """The paper's single correlator: one bank (K = 1)."""
+    correlator = CrossCorrelator()
+    correlator.load_banks([(coeffs_i, coeffs_q)], [0])
+    return correlator
+
+
 @given(seeds, st.integers(1, 6))
 @settings(max_examples=25)
 def test_correlator_chunking_invariant(seed: int, n_chunks: int):
@@ -130,11 +157,11 @@ def test_correlator_chunking_invariant(seed: int, n_chunks: int):
     template = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
     ci, cq = quantize_coefficients(template)
     x = complex_signal(seed + 1, 300)
-    whole = CrossCorrelator(ci, cq).metric(x)
-    chunked = CrossCorrelator(ci, cq)
+    whole = _paper_correlator(ci, cq).metric(x)
+    chunked = _paper_correlator(ci, cq)
     bounds = np.linspace(0, 300, n_chunks + 1).astype(int)
     parts = [chunked.metric(x[a:b]) for a, b in zip(bounds, bounds[1:])]
-    assert np.array_equal(np.concatenate(parts), whole)
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
 
 
 @given(seeds)
@@ -143,7 +170,7 @@ def test_correlator_metric_nonnegative(seed: int):
     rng = np.random.default_rng(seed)
     template = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
     ci, cq = quantize_coefficients(template)
-    metric = CrossCorrelator(ci, cq).metric(complex_signal(seed, 500))
+    metric = _paper_correlator(ci, cq).metric(complex_signal(seed, 500))
     assert np.all(metric >= 0)
 
 

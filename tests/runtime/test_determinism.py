@@ -86,11 +86,14 @@ class TestChunkInvariance:
         template = np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         coeffs_i, coeffs_q = quantize_coefficients(template)
         signal = awgn(3000, 1.0, rng)
-        whole = CrossCorrelator(coeffs_i, coeffs_q).metric(signal)
-        streamed = CrossCorrelator(coeffs_i, coeffs_q)
+        whole = CrossCorrelator()
+        whole.load_banks([(coeffs_i, coeffs_q)], [0])
+        streamed = CrossCorrelator()
+        streamed.load_banks([(coeffs_i, coeffs_q)], [0])
         parts = [streamed.metric(signal[i:i + chunk_size])
                  for i in range(0, signal.size, chunk_size)]
-        assert np.array_equal(whole, np.concatenate(parts))
+        assert np.array_equal(whole.metric(signal),
+                              np.concatenate(parts, axis=1))
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 32, 400])
     def test_energy_scratch_reuse_matches_single_shot(self, rng, chunk_size):
