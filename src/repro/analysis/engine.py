@@ -175,8 +175,7 @@ class ParsedFile:
 def _parse_one(path_str: str) -> ParsedFile:
     """Read + parse + collect suppressions for one file.
 
-    Module-level so the parse pool can pickle it by reference; the
-    returned dataclass (AST included) round-trips through pickle.
+    Module-level so the parse pool can pickle it by reference.
     """
     try:
         source = Path(path_str).read_text(encoding="utf-8")
@@ -224,15 +223,30 @@ def parse_files(paths: Iterable[str | Path],
     files = [str(path) for path in iter_python_files(paths)]
     if jobs <= 1 or len(files) < 2:
         return [_parse_one(path) for path in files]
-    # The parse fan-out is IO + C-parser work over an already-fixed
-    # file list, not a seeded trial grid, so it stays here rather than
-    # going through repro.runtime.sweep.
+    # The parse fan-out is IO + parser work over an already-fixed file
+    # list, not a seeded trial grid, so it stays here rather than
+    # going through repro.runtime.jobs.
     from concurrent.futures import ProcessPoolExecutor
 
     workers = min(jobs, len(files))
     chunk = max(1, len(files) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:  # repro-lint: disable=RJ008
-        return list(pool.map(_parse_one, files, chunksize=chunk))
+        return [_reattach_tree(parsed) for parsed
+                in pool.map(_parse_one_detached, files, chunksize=chunk)]
+
+
+def _parse_one_detached(path_str: str) -> ParsedFile:
+    """Pool worker: :func:`_parse_one` minus the AST, which costs the
+    parent more to unpickle than :func:`_reattach_tree` takes to parse."""
+    parsed = _parse_one(path_str)
+    parsed.tree = None
+    return parsed
+
+
+def _reattach_tree(parsed: ParsedFile) -> ParsedFile:
+    if parsed.error is None:
+        parsed.tree = ast.parse(parsed.source, filename=parsed.path)
+    return parsed
 
 
 # -- analysis -----------------------------------------------------------

@@ -1,8 +1,8 @@
 """RJ011: RNG/determinism discipline on the sweep-reachable graph.
 
 The byte-identical serial/parallel guarantee of
-:mod:`repro.runtime.sweep` and the reproducibility of every figure
-rest on one discipline: randomness enters a trial **only** through the
+:func:`repro.runtime.jobs.resilient_sweep` and the reproducibility of
+every figure rest on one discipline: randomness enters a trial **only** through the
 per-trial ``numpy.random.Generator`` derived from an explicit seed.
 An unseeded ``default_rng()``, a legacy ``np.random.<fn>`` call (the
 process-global generator), or a stdlib ``random.<fn>`` call anywhere

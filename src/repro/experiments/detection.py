@@ -73,7 +73,7 @@ PAPER_FRAME_COUNT = 10_000
 GUARD_SAMPLES = 512
 
 #: Frames folded into one sweep trial.  Each trial is one schedulable
-#: unit of the :mod:`repro.runtime.sweep` grid, so this sets the
+#: unit of the :mod:`repro.runtime.jobs` grid, so this sets the
 #: load-balancing granularity of a parallel curve run.
 FRAMES_PER_TRIAL = 50
 
@@ -314,13 +314,13 @@ def _count_frames_looped(spec: _CurveTrialSpec, detector_process,
 
 def _xcorr_trial(spec: _CurveTrialSpec, rng: np.random.Generator
                  ) -> tuple[int, int]:
-    """One correlator trial batch (a SweepRunner task)."""
+    """One correlator trial batch (one sweep task)."""
     return _count_frames(spec, rng)
 
 
 def _energy_trial(spec: _CurveTrialSpec, rng: np.random.Generator
                   ) -> tuple[int, int]:
-    """One energy-differentiator trial batch (a SweepRunner task)."""
+    """One energy-differentiator trial batch (one sweep task)."""
     return _count_frames(spec, rng)
 
 

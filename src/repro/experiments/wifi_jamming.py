@@ -194,7 +194,7 @@ def _sweep_point_task(spec: tuple[WifiJammingTestbed,
                                   JammerPersonality | None,
                                   float | None, int],
                       rng: np.random.Generator) -> JammingSweepPoint:
-    """One grid point as a picklable SweepRunner task.
+    """One grid point as a picklable sweep task.
 
     The sweep-provided ``rng`` is deliberately unused: ``run_point``
     seeds itself from the user-facing ``seed``, which keeps the

@@ -6,20 +6,18 @@ experiments — and the reproduction needs the same sweeps to finish in
 benchmark time.  This package owns the three mechanisms that make
 that possible without touching the science:
 
-* :mod:`repro.runtime.sweep` — a process-pool fan-out engine for
-  embarrassingly-parallel trial grids with deterministic per-trial
-  seeding (``workers=1`` is byte-identical to ``workers=N``);
+* :mod:`repro.runtime.jobs` — the sweep engine: deterministic
+  per-trial seeding (``workers=1`` is byte-identical to
+  ``workers=N``), content-addressed shards, a durable
+  :class:`ShardCheckpoint` journal for crash-resumable sweeps, a
+  :class:`WorkerSupervisor` with crash/hang detection and seeded
+  retry/backoff, quarantine for poison shards, and a
+  :class:`SweepHealth` report folded into telemetry;
 * :mod:`repro.runtime.cache` — a content-addressed in-process cache
   for expensive deterministic artifacts (PPDUs, preambles, quantized
   coefficient banks, resampled templates);
 * :mod:`repro.runtime.buffers` — grow-only scratch buffers the
-  streaming hot path reuses across chunks instead of reallocating;
-* :mod:`repro.runtime.jobs` — the fault-tolerant job layer over the
-  sweep engine: content-addressed shards, a durable
-  :class:`ShardCheckpoint` journal for crash-resumable sweeps, a
-  :class:`WorkerSupervisor` with crash/hang detection and seeded
-  retry/backoff, quarantine for poison shards, and a
-  :class:`SweepHealth` report folded into telemetry.
+  streaming hot path reuses across chunks instead of reallocating.
 
 Pool policy lives here and only here: repro-lint rule RJ008 flags any
 other module constructing ``ProcessPoolExecutor`` / ``multiprocessing``
@@ -48,7 +46,6 @@ from repro.runtime.jobs import (
     resilient_sweep,
     shard_key,
 )
-from repro.runtime.sweep import SweepRunner, sweep
 
 __all__ = [
     "ArtifactCache",
@@ -59,7 +56,6 @@ __all__ = [
     "ScratchBuffer",
     "ShardCheckpoint",
     "SweepHealth",
-    "SweepRunner",
     "WorkerSupervisor",
     "cache_key",
     "cached_artifact",
@@ -67,5 +63,4 @@ __all__ = [
     "last_sweep_health",
     "resilient_sweep",
     "shard_key",
-    "sweep",
 ]

@@ -1,13 +1,20 @@
-"""Fault-tolerant job layer over the sweep engine.
+"""The sweep engine: deterministic, fault-tolerant trial-grid execution.
 
-:class:`~repro.runtime.sweep.SweepRunner` assumes a healthy host: one
-crashed or hung worker aborts the whole sweep and loses every
-completed trial.  The paper's evaluation campaigns (10,000-frame
-detection curves, personality x SIR iperf grids) are long-running
-measurement jobs that must survive flaky hosts, so this module wraps
-the same deterministic grid in a supervised, checkpointed, resumable
-execution layer:
+The evaluation sweeps — detection probability over SNR (Figs. 6-8),
+iperf statistics over SIR (Figs. 10-11), the detectability tournament
+— are grids of independent trials.  :func:`resilient_sweep` runs such
+a grid in-process (``workers=1``, the serial reference path) or over a
+supervised process pool, and the paper's evaluation campaigns are
+long-running measurement jobs that must survive flaky hosts, so the
+engine is checkpointed and resumable:
 
+* **Determinism.**  Every trial gets its own generator,
+  ``numpy.random.default_rng(seed_root + trial_index)``, where the
+  trial index is the task's position in the flattened
+  ``points x trials`` grid (:func:`build_tasks`).  Seeds depend only
+  on grid position, never on scheduling, so ``workers=N`` is
+  byte-identical to ``workers=1``; results come back grouped by
+  point, trials in order.
 * **Shards.**  The flattened ``points x trials`` grid is split into
   content-addressed shards — the unit of scheduling, retry, and
   checkpointing.  Shard keys are derived exactly like
@@ -33,8 +40,7 @@ execution layer:
   serializes its whole grid into the pool's call queue at once.
 
 The invariant that makes this a correctness feature rather than
-plumbing: trials are seeded by grid position
-(:func:`repro.runtime.sweep.build_tasks`), so a re-executed shard
+plumbing: trials are seeded by grid position, so a re-executed shard
 reproduces its results bit-for-bit.  A sweep that survives injected
 worker kills, or is killed and resumed, returns **byte-identical**
 results to the uninterrupted serial reference — the chaos benchmarks
@@ -43,6 +49,9 @@ results to the uninterrupted serial reference — the chaos benchmarks
 Chaos testing hooks into :class:`repro.faults.workers.WorkerFaultInjector`:
 pass one as ``fault_injector`` and its seeded kill/hang/slow plan is
 enacted inside the workers.
+
+Trial functions must be module-level callables (the pool pickles them
+by reference) and should be pure functions of ``(point, rng)``.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import base64
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import time
@@ -66,16 +76,14 @@ import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError, WorkerCrashError
 from repro.runtime.cache import cache_key
-from repro.runtime.sweep import (
-    CHUNKS_PER_WORKER,
-    _pool_context,
-    _Task,
-    build_tasks,
-)
 
 if TYPE_CHECKING:  # one-way dependencies: runtime never imports these
     from repro.faults.workers import WorkerFaultInjector
     from repro.telemetry.session import Telemetry
+
+#: Chunks submitted per worker when no explicit chunk size is given —
+#: enough slack for load balancing, few enough for cheap IPC.
+CHUNKS_PER_WORKER = 4
 
 #: Metric names folded into an attached MetricsRegistry after each run.
 RUNS_COUNTER = "runtime.jobs.runs"
@@ -94,6 +102,48 @@ _BACKOFF_DOMAIN = 0x4A0B
 #: Poll granularity of the supervisor loop when it cannot block
 #: indefinitely (backoff timers or shard deadlines are pending).
 _POLL_S = 0.05
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One (point, trial) cell of the flattened sweep grid."""
+
+    index: int
+    point: Any
+    seed: int
+
+
+def build_tasks(points: Sequence[Any], trials: int,
+                seed_root: int) -> list[_Task]:
+    """Flatten a ``points x trials`` grid into seeded tasks.
+
+    This is the one place the seeding discipline is written down:
+    trial ``(p, t)`` draws from ``default_rng(seed_root + p*trials +
+    t)``.  Shards, shard keys and checkpoint entries are all cut from
+    this grid, so a re-executed shard reproduces its results exactly.
+    """
+    return [
+        _Task(index=point_index * trials + trial,
+              point=point,
+              seed=seed_root + point_index * trials + trial)
+        for point_index, point in enumerate(points)
+        for trial in range(trials)
+    ]
+
+
+def _run_chunk(fn: Callable[[Any, np.random.Generator], Any],
+               tasks: Sequence[_Task]) -> list[tuple[int, Any]]:
+    """Execute one chunk of tasks, results indexed by grid position."""
+    return [(task.index, fn(task.point, np.random.default_rng(task.seed)))
+            for task in tasks]
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Fork where available (cheap, inherits warm caches), else default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # platform without fork
+        return multiprocessing.get_context()
 
 
 @dataclass(frozen=True)
@@ -267,11 +317,10 @@ def _run_shard(fn: Callable[[Any, np.random.Generator], Any],
                tasks: Sequence[_Task], shard_index: int, attempt: int,
                injector: "WorkerFaultInjector | None"
                ) -> list[tuple[int, Any]]:
-    """Worker-side shard execution (same seeding as ``_run_chunk``)."""
+    """Worker-side shard execution."""
     if injector is not None:
         injector.apply(shard_index, attempt, in_worker=True)
-    return [(task.index, fn(task.point, np.random.default_rng(task.seed)))
-            for task in tasks]
+    return _run_chunk(fn, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +523,7 @@ class WorkerSupervisor:
                 if self.fault_injector is not None:
                     self.fault_injector.apply(shard.index, shard.attempts,
                                               in_worker=False)
-                rows = [(task.index,
-                         fn(task.point, np.random.default_rng(task.seed)))
-                        for task in shard.tasks]
+                rows = _run_chunk(fn, shard.tasks)
             except Exception as exc:
                 crash = isinstance(exc, WorkerCrashError)
                 if not crash and not self._retryable(exc):
@@ -501,19 +548,27 @@ class WorkerSupervisor:
         return ProcessPoolExecutor(max_workers=self.workers,
                                    mp_context=_pool_context())
 
-    def _recycle_pool(self, pool: ProcessPoolExecutor
-                      ) -> ProcessPoolExecutor:
-        """Tear a broken/hung pool down hard and stand up a fresh one.
+    @staticmethod
+    def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+        """Terminate every worker process the pool still holds.
 
-        Hung workers do not react to a polite shutdown, so any worker
-        process still alive is terminated first; with the children
-        dead the executor's shutdown returns promptly.
+        Hung workers do not react to a polite shutdown; left alive,
+        they keep the interpreter from exiting until their hang ends.
         """
         for process in list(getattr(pool, "_processes", {}).values() or []):
             try:
                 process.terminate()
             except Exception:
                 pass
+
+    def _recycle_pool(self, pool: ProcessPoolExecutor
+                      ) -> ProcessPoolExecutor:
+        """Tear a broken/hung pool down hard and stand up a fresh one.
+
+        Live workers are terminated first; with the children dead the
+        executor's shutdown returns promptly.
+        """
+        self._terminate_workers(pool)
         try:
             pool.shutdown(wait=True, cancel_futures=True)
         except Exception:
@@ -578,6 +633,11 @@ class WorkerSupervisor:
                                            hang=True)
                     self._requeue_victims(pending, queue)
                     pool = self._recycle_pool(pool)
+        except BaseException:
+            # A failed sweep (say, a hung shard exhausting a strict
+            # budget) must not leave a worker running behind it.
+            self._terminate_workers(pool)
+            raise
         finally:
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -627,12 +687,12 @@ class WorkerSupervisor:
 class ResilientSweepRunner:
     """Checkpointed, supervised, crash-resumable sweep execution.
 
-    The drop-in hardened sibling of
-    :class:`~repro.runtime.sweep.SweepRunner`: same grid semantics,
-    same seeding discipline, same ``points x trials`` result shape,
-    byte-identical results — plus shard checkpointing, worker
-    supervision with retry/backoff, quarantine, and a
-    :class:`SweepHealth` report on :attr:`health` after every run.
+    Runs a ``points x trials`` grid with the seeding discipline of
+    :func:`build_tasks`, byte-identical for every worker count and
+    chunk size, with shard checkpointing, worker supervision with
+    retry/backoff, quarantine, and a :class:`SweepHealth` report on
+    :attr:`health` after every run.  ``workers=1`` runs in-process
+    and is the serial reference path.
     """
 
     def __init__(self, workers: int = 1, seed_root: int = 0,
@@ -688,10 +748,9 @@ class ResilientSweepRunner:
         """Run ``fn(point, rng)`` for every (point, trial) cell.
 
         Returns one list per point holding its ``trials`` results in
-        trial order, byte-identical to
-        :meth:`repro.runtime.sweep.SweepRunner.sweep` on the same
-        grid.  Quarantined shards (if the config permits any) leave
-        ``None`` in their cells; check :attr:`health`.
+        trial order, byte-identical for every ``workers`` and
+        ``chunk_size``.  Quarantined shards (if the config permits
+        any) leave ``None`` in their cells; check :attr:`health`.
         """
         if trials < 1:
             raise ConfigurationError("trials must be >= 1")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -239,16 +240,24 @@ class TestParallelParsing:
                         reason="speedup is only measurable with >1 core")
     def test_parallel_is_faster_on_multicore(self):
         paths = [SRC]
-        parse_files(paths, jobs=1)  # warm the page cache
-        start = time.perf_counter()
+        # Warm the page cache and the import state of both paths.
         parse_files(paths, jobs=1)
-        serial_s = time.perf_counter() - start
-        start = time.perf_counter()
         parse_files(paths, jobs=os.cpu_count())
-        parallel_s = time.perf_counter() - start
+        # One serial/parallel pair is at the mercy of whatever else the
+        # host runs in that second; the median of alternating pairs is
+        # not.
+        ratios = []
+        for _ in range(5):
+            start = time.perf_counter()
+            parse_files(paths, jobs=1)
+            serial_s = time.perf_counter() - start
+            start = time.perf_counter()
+            parse_files(paths, jobs=os.cpu_count())
+            parallel_s = time.perf_counter() - start
+            ratios.append(parallel_s / serial_s)
         # Pool startup costs real time; demand better than break-even,
         # not a perfect scaling curve.
-        assert parallel_s < serial_s * 1.1
+        assert statistics.median(ratios) < 1.1, ratios
 
 
 class TestFullProjectBudget:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,11 @@ from repro.runtime.jobs import (
     ShardCheckpoint,
     SweepHealth,
     WorkerSupervisor,
+    build_tasks,
     last_sweep_health,
     resilient_sweep,
     shard_key,
 )
-from repro.runtime.sweep import build_tasks, sweep
 from repro.telemetry import Telemetry
 
 #: A fast retry policy so injected-failure tests don't sleep.
@@ -32,6 +34,13 @@ FAST = dict(backoff_base_s=0.0, backoff_cap_s=0.0)
 def _sum_noise(point, rng: np.random.Generator):
     """Module-level trial fn (workers pickle it by reference)."""
     return float(point) + float(np.sum(rng.standard_normal(64)))
+
+
+def _oracle(fn, points, trials=1, seed_root=0):
+    """The seeding rule written out directly, without the engine."""
+    return [[fn(p, np.random.default_rng(seed_root + i * trials + t))
+             for t in range(trials)]
+            for i, p in enumerate(points)]
 
 
 def _boom(point, rng):
@@ -78,19 +87,19 @@ class TestValidation:
 
 class TestIdentity:
     def test_serial_matches_plain_sweep(self):
-        reference = sweep(_sum_noise, [0.0, 1.0, 2.0], trials=5, seed_root=7)
+        reference = _oracle(_sum_noise, [0.0, 1.0, 2.0], trials=5, seed_root=7)
         hardened = resilient_sweep(_sum_noise, [0.0, 1.0, 2.0], trials=5,
                                    seed_root=7)
         assert hardened == reference  # exact float equality
 
     def test_parallel_matches_plain_sweep(self):
-        reference = sweep(_sum_noise, [0.0, 1.0, 2.0], trials=4, seed_root=3)
+        reference = _oracle(_sum_noise, [0.0, 1.0, 2.0], trials=4, seed_root=3)
         hardened = resilient_sweep(_sum_noise, [0.0, 1.0, 2.0], trials=4,
                                    seed_root=3, workers=2)
         assert hardened == reference
 
     def test_identity_survives_injected_serial_kills(self):
-        reference = sweep(_sum_noise, [0.0, 1.0], trials=4, seed_root=5)
+        reference = _oracle(_sum_noise, [0.0, 1.0], trials=4, seed_root=5)
         plan = WorkerFaultPlan(seed=1).kill_shards([0, 1])
         hardened = resilient_sweep(
             _sum_noise, [0.0, 1.0], trials=4, seed_root=5,
@@ -214,7 +223,7 @@ class TestCheckpoint:
         # Simulate a torn write: truncate the last journal line mid-payload.
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:-1] + [lines[-1][:40]]) + "\n")
-        reference = sweep(_sum_noise, [0.0, 1.0], trials=2, seed_root=2)
+        reference = _oracle(_sum_noise, [0.0, 1.0], trials=2, seed_root=2)
         resumed = resilient_sweep(_sum_noise, [0.0, 1.0], trials=2,
                                   seed_root=2, chunk_size=2, config=config)
         health = last_sweep_health()
@@ -296,7 +305,7 @@ class TestHealthAndTelemetry:
 
 class TestPooledSupervision:
     def test_real_worker_kill_recovers_byte_identical(self):
-        reference = sweep(_sum_noise, [0.0, 1.0, 2.0], trials=4, seed_root=13)
+        reference = _oracle(_sum_noise, [0.0, 1.0, 2.0], trials=4, seed_root=13)
         plan = WorkerFaultPlan(seed=3).kill_shards([0])
         hardened = resilient_sweep(
             _sum_noise, [0.0, 1.0, 2.0], trials=4, seed_root=13, workers=2,
@@ -309,7 +318,7 @@ class TestPooledSupervision:
         assert hardened == reference
 
     def test_hung_worker_detected_and_shard_retried(self):
-        reference = sweep(_sum_noise, [0.0, 1.0], trials=2, seed_root=17)
+        reference = _oracle(_sum_noise, [0.0, 1.0], trials=2, seed_root=17)
         plan = WorkerFaultPlan(seed=5).hang_workers(
             1.0, duration_s=20.0, shard_indices=[0])
         hardened = resilient_sweep(
@@ -322,6 +331,23 @@ class TestPooledSupervision:
         assert health.hangs >= 1
         assert health.ok
         assert hardened == reference
+
+    def test_strict_hang_failure_leaves_no_live_worker(self):
+        # A hung shard that exhausts a strict budget fails the sweep at
+        # its deadline; the wedged worker must not outlive that error.
+        plan = WorkerFaultPlan(seed=5).hang_workers(
+            1.0, duration_s=60.0, shard_indices=[0])
+        with pytest.raises(WorkerCrashError):
+            resilient_sweep(
+                _sum_noise, [0.0, 1.0], trials=2, seed_root=17, workers=2,
+                chunk_size=2,
+                config=ResilienceConfig(max_attempts=1, quarantine_limit=0,
+                                        shard_deadline_s=0.4, **FAST),
+                fault_injector=WorkerFaultInjector(plan))
+        for child in multiprocessing.active_children():
+            child.join(timeout=10.0)
+        assert [child for child in multiprocessing.active_children()
+                if child.is_alive()] == []
 
 
 class TestStrictDefault:
