@@ -10,10 +10,7 @@ enforces the speedups on top of byte-identity:
   ``MIN_FUSED_SPEEDUP``;
 * **batched trial engine** — the chained batch kernel running a full
   Fig. 6 (full-frame long preamble) trial vs the seed streaming loop
-  over the same frames, floor ``MIN_BATCHED_SPEEDUP``;
-* **numba parity** — when the optional JIT backend is importable it
-  must match the numpy reference byte-for-byte and not be slower
-  (skipped otherwise).
+  over the same frames, floor ``MIN_BATCHED_SPEEDUP``.
 
 Identity is asserted unconditionally; every record lands in
 ``BENCH_kernels.json`` at the repository root (a CI artifact).
@@ -35,7 +32,7 @@ from repro.experiments.detection import (
     threshold_for_false_alarm_rate,
 )
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
-from repro.kernels import BackendUnavailable, get_backend, prepare_stacked
+from repro.kernels import get_backend
 
 #: Wall-clock floor for the fused metric vs the seed's four passes.
 MIN_FUSED_SPEEDUP = 2.0
@@ -179,43 +176,4 @@ def test_bench_batched_trial_vs_seed_loop(kernels_record):
     assert speedup >= MIN_BATCHED_SPEEDUP, (
         f"batched trial is only {speedup:.2f}x faster than the seed "
         f"streaming loop (floor {MIN_BATCHED_SPEEDUP}x)"
-    )
-
-
-@pytest.mark.perf
-def test_bench_numba_backend_vs_numpy(kernels_record):
-    try:
-        numba = get_backend("numba")
-    except BackendUnavailable:
-        pytest.skip("numba is not installed")
-    numpy_ref = get_backend("numpy")
-
-    ci, cq, _threshold = _paper_bank()
-    prepared = prepare_stacked([(ci, cq)])
-    rng = np.random.default_rng(13)
-    pairs = prepared.history_pairs
-    plane = rng.choice(np.array([-1, 1], dtype=np.int8),
-                       size=2 * (pairs + (1 << 16)))
-
-    numba.xcorr_metric_stacked(plane, prepared)  # JIT warm-up compile
-    numpy_ns, ref_out = _best_of(5, lambda: numpy_ref.xcorr_metric_stacked(
-        plane, prepared))
-    numba_ns, jit_out = _best_of(5, lambda: numba.xcorr_metric_stacked(
-        plane, prepared))
-
-    np.testing.assert_array_equal(jit_out, ref_out)
-
-    speedup = numpy_ns / numba_ns
-    print(f"\nKernels — numba backend: numpy {numpy_ns / 1e6:.2f} ms, "
-          f"numba {numba_ns / 1e6:.2f} ms -> {speedup:.2f}x")
-    kernels_record["numba_vs_numpy"] = {
-        "samples": plane.size // 2 - pairs,
-        "numpy_ns": numpy_ns,
-        "numba_ns": numba_ns,
-        "speedup": speedup,
-        "byte_identical": True,
-    }
-    assert numba_ns <= numpy_ns, (
-        f"numba backend is slower than the numpy reference "
-        f"({numba_ns / 1e6:.2f} ms vs {numpy_ns / 1e6:.2f} ms)"
     )

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="Project-aware static analysis for the reactive-jamming "
                     "reproduction (register-map, fixed-point, dtype-flow, "
-                    "determinism, and backend-parity invariants).",
+                    "determinism, and retry-bound invariants).",
     )
     parser.add_argument(
         "paths", nargs="*",

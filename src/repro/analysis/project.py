@@ -2,10 +2,11 @@
 
 Per-file AST analysis cannot see a float that leaks into the int64
 xcorr path *across a call boundary*, an unseeded RNG reached from a
-sweep entry point two modules away, or a numpy kernel op with no numba
-counterpart.  This module builds the :class:`ProjectContext` those
-rules need: a module/import graph over every analyzed file, a symbol
-table of functions and classes, an approximate call graph, and
+sweep entry point two modules away, or a telemetry probe that calls a
+method the ``NULL_TRACER`` base lacks.  This module builds the
+:class:`ProjectContext` those rules need: a module/import graph over
+every analyzed file, a symbol table of functions and classes, an
+approximate call graph, and
 per-function summaries (parameter/return dtype abstractions, decorator
 facts) computed by the abstract interpreter in
 :mod:`repro.analysis.dtypes`.
@@ -113,10 +114,10 @@ class ClassInfo:
     name: str
     node: ast.ClassDef
     lineno: int
-    #: Base expressions as written (``KernelBackend``, ``mod.Base``).
+    #: Base expressions as written (``Tracer``, ``mod.Base``).
     bases_raw: list[str]
     methods: dict[str, FunctionInfo]
-    #: Simple constant class attributes (``name = "numpy"``).
+    #: Simple constant class attributes (``code = "RJ012"``).
     class_attrs: dict[str, object]
     #: ``self.<attr>`` dtypes established in ``__init__``.
     attr_dtypes: dict[str, str] = field(default_factory=dict)

@@ -9,7 +9,6 @@ PR needs is deliberately that small.
 from __future__ import annotations
 
 from repro.analysis.engine import Rule
-from repro.analysis.rules.backend_parity import BackendParityRule
 from repro.analysis.rules.bitexact import BitExactRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.dsp_primitives import DspPrimitiveRule
@@ -36,7 +35,6 @@ ALL_RULES: tuple[Rule, ...] = (
     DtypeFlowRule(),
     DeterminismRule(),
     SpanPairingRule(),
-    BackendParityRule(),
     UnboundedRetryRule(),
 )
 

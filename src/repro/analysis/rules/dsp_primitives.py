@@ -1,13 +1,12 @@
 """RJ009: sliding-window DSP primitives live only in repro.kernels.
 
 :mod:`repro.kernels` is the repo's single hot-path choke point: it owns
-the fused sign-plane correlator, the batched moving-sum engine, the
-backend dispatch (numpy reference vs optional JIT), and the
-bit-exactness guarantees that make every backend interchangeable.  A
-stray ``np.correlate`` / ``np.convolve`` / ``sliding_window_view``
+the fused sign-plane correlator, the batched moving-sum engine, and
+the bit-exactness guarantees the detectors rely on.  A stray
+``np.correlate`` / ``np.convolve`` / ``sliding_window_view``
 elsewhere under ``src/`` re-grows the per-chunk Python overhead the
 kernel package exists to eliminate, and silently escapes the
-backend-parity test net.
+kernels' bit-exactness test net.
 
 Code that needs a convolution should call
 :func:`repro.kernels.ops.convolve`; correlation-style detection goes
@@ -69,8 +68,8 @@ class DspPrimitiveRule(Rule):
         "np.correlate / np.convolve / sliding_window_view may only be "
         "called under repro.kernels; route convolutions through "
         "repro.kernels.ops and detection math through the fused "
-        "kernels so every call site inherits the backend dispatch "
-        "and the bit-exactness test net"
+        "kernels so every call site inherits the one kernel "
+        "implementation and its bit-exactness test net"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -108,5 +107,5 @@ class DspPrimitiveRule(Rule):
                     f"raw DSP primitive {primitive}() outside "
                     "repro.kernels; use repro.kernels.ops.convolve or "
                     "the fused kernel API so the call inherits the "
-                    "backend dispatch and parity tests",
+                    "one kernel implementation and its parity tests",
                 )

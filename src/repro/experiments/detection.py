@@ -137,7 +137,6 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
     total_samples = int(duration_s * units.BASEBAND_RATE)
     prepared = correlator.prepared_coefficients
     thresholds = correlator.thresholds
-    backend = correlator.backend
     triggers = 0
     history = None
     last = None
@@ -151,7 +150,7 @@ def measured_false_alarm_rate(correlator: CrossCorrelator, duration_s: float,
         lengths[-1] = n - _FA_ROW_SAMPLES * (n_rows - 1)
         result = xcorr_detect_stacked_batch(blocks, lengths, prepared,
                                             thresholds, history=history,
-                                            last=last, backend=backend)
+                                            last=last)
         triggers += int(result.edge_plane.sum())
         history = result.history
         last = result.last

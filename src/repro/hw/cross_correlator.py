@@ -29,10 +29,7 @@ case of the same class and the same kernel.
 
 The class is the thin stateful *facade*: it owns the streaming sign
 history, the per-bank thresholds and trigger carries, and the scratch
-buffers, while the per-sample math runs in :mod:`repro.kernels`.  The
-kernel backend is picked at construction
-(:func:`repro.kernels.get_backend`, honoring ``REPRO_KERNEL_BACKEND``)
-and every backend is byte-identical to the numpy reference.
+buffers, while the per-sample math runs in :mod:`repro.kernels`.
 
 Banks are hot-swappable: :meth:`CrossCorrelator.load_bank` replaces
 one bank's coefficients between chunks (the register bus write path
@@ -50,10 +47,10 @@ from repro.errors import ConfigurationError, StreamError
 from repro.hw.register_map import CORRELATOR_LENGTH, MAX_BANKS
 from repro.kernels import (
     StackedCoefficients,
-    get_backend,
     prepare_stacked,
     sign_plane,
     xcorr_detect_stacked,
+    xcorr_metric_stacked,
 )
 from repro.runtime.buffers import ScratchBuffer
 from repro.runtime.cache import cached_artifact
@@ -128,8 +125,7 @@ class CrossCorrelator:
     rising-edge extraction.
     """
 
-    def __init__(self, backend: str | None = None) -> None:
-        self._backend = get_backend(backend)
+    def __init__(self) -> None:
         self._banks: list[tuple[np.ndarray, np.ndarray]] = []
         self._thresholds = np.zeros(0, dtype=np.int64)
         self._labels: tuple[str, ...] = ()
@@ -150,11 +146,6 @@ class CrossCorrelator:
 
     # ------------------------------------------------------------------
     # Configuration
-
-    @property
-    def backend(self) -> str:
-        """Name of the kernel backend this instance dispatches to."""
-        return self._backend.name
 
     @property
     def n_banks(self) -> int:
@@ -281,9 +272,7 @@ class CrossCorrelator:
     def attach_metrics(self, registry) -> None:
         """Fold per-chunk throughput counters into a metrics registry.
 
-        Exposes ``kernels.xcorr.chunks`` / ``kernels.xcorr.samples``
-        and bumps ``kernels.backend.<name>.selected`` once, so a
-        telemetry snapshot records which backend produced the run.
+        Exposes ``kernels.xcorr.chunks`` / ``kernels.xcorr.samples``.
         Pass ``None`` to detach.
         """
         if registry is None:
@@ -292,8 +281,6 @@ class CrossCorrelator:
             return
         self._metric_chunks = registry.counter("kernels.xcorr.chunks")
         self._metric_samples = registry.counter("kernels.xcorr.samples")
-        registry.counter(
-            f"kernels.backend.{self._backend.name}.selected").inc()
 
     # ------------------------------------------------------------------
     # Streaming state
@@ -352,8 +339,8 @@ class CrossCorrelator:
             return np.zeros((self.n_banks, 0), dtype=np.int64)
         stacked = self._prepared()
         plane = self._assemble_plane(samples)
-        return self._backend.xcorr_metric_stacked(
-            plane, stacked, scratch=self._gemm_scratch)
+        return xcorr_metric_stacked(plane, stacked,
+                                    scratch=self._gemm_scratch)
 
     def detect(self, samples: np.ndarray
                ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -373,7 +360,6 @@ class CrossCorrelator:
         plane = self._assemble_plane(samples)
         result = xcorr_detect_stacked(plane, stacked, self._thresholds,
                                       last=self._last,
-                                      backend=self._backend,
                                       scratch=self._gemm_scratch)
         self._last = result.last
         return result.trigger, result.edges

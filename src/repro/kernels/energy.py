@@ -24,17 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import StreamError
-from repro.kernels.dispatch import KernelBackend, get_backend
+from repro.kernels.dispatch import get_backend
 from repro.kernels.xcorr import chained_edges
 
 
 def moving_sums(padded: np.ndarray, window: int,
-                backend: "str | KernelBackend | None" = None,
                 out: np.ndarray | None = None,
                 csum_scratch=None) -> np.ndarray:
-    """Moving sums over ``[tail | energies]`` rows (backend dispatch)."""
-    return get_backend(backend).moving_sums(padded, window, out=out,
-                                            csum_scratch=csum_scratch)
+    """Moving sums over ``[tail | energies]`` rows."""
+    return get_backend().moving_sums(padded, window, out=out,
+                                     csum_scratch=csum_scratch)
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,7 @@ def energy_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
                         threshold_high: float, threshold_low: float,
                         energy_tail: np.ndarray | None = None,
                         sum_tail: np.ndarray | None = None,
-                        last_high: bool = False, last_low: bool = False,
-                        backend: "str | KernelBackend | None" = None
+                        last_high: bool = False, last_low: bool = False
                         ) -> EnergyBatchResult:
     """Run a batch of chained sample rows through the energy detector.
 
@@ -113,7 +111,7 @@ def energy_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
         energy_tail = np.zeros(window, dtype=np.float64)
     _stitch_tails(padded, lengths, energy_tail, window)
 
-    sums = moving_sums(padded, window, backend=backend)
+    sums = moving_sums(padded, window)
 
     delayed_full = np.empty((batch, delay + width), dtype=np.float64)
     delayed_full[:, delay:] = sums

@@ -1,30 +1,32 @@
-"""The numpy reference backend: exact BLAS evaluation of the kernels.
+"""The kernel implementation: exact BLAS evaluation of the primitives.
 
-This is the semantic ground truth every other backend must match
-byte-for-byte.  The correlation metric is evaluated with the
-block-Toeplitz two-GEMM scheme described in
+Every detector reduces to two primitives, the stacked correlator
+metric and the energy moving sums; the fused/batched/chained logic
+above them is array bookkeeping in :mod:`repro.kernels.xcorr` /
+:mod:`repro.kernels.energy`.  The correlation metric is evaluated with
+the block-Toeplitz two-GEMM scheme described in
 :mod:`repro.kernels.xcorr`; the float dtype is chosen by
 :func:`repro.kernels.xcorr.prepare_stacked` so that every
 intermediate is an exactly-representable integer, making the float
 GEMM bit-identical to int64 arithmetic.
 
 All large intermediates live in grow-only scratch buffers owned by
-the backend instance: the temporaries here are hundreds of kilobytes,
-which glibc serves via mmap and hands back to the kernel on free, so
-naive per-call allocation pays the zero-page fault cost on every
-single chunk.  Only the returned metric array is freshly allocated.
+the instance, which :func:`repro.kernels.get_backend` shares: the
+temporaries here are hundreds of kilobytes, which glibc serves via
+mmap and hands back to the kernel on free, so naive per-call
+allocation pays the zero-page fault cost on every single chunk.  Only
+the returned metric array is freshly allocated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.dispatch import KernelBackend
 from repro.runtime.buffers import ScratchBuffer
 
 
-class NumpyKernelBackend(KernelBackend):
-    """Reference implementations of the dispatchable primitives."""
+class NumpyKernelBackend:
+    """The two detector primitives, with grow-only scratch storage."""
 
     name = "numpy"
 
@@ -41,6 +43,17 @@ class NumpyKernelBackend(KernelBackend):
     def xcorr_metric_stacked(self, plane: np.ndarray, coeffs,
                              out: np.ndarray | None = None,
                              scratch=None) -> np.ndarray:
+        """Per-bank squared metric over one shared sign plane.
+
+        ``plane`` is ``(..., 2 * (history + n))`` int8 with I/Q signs
+        interleaved (``plane[..., 2m]`` = sign I of pair ``m``); the
+        leading ``2 * (coeffs.taps - 1)`` entries are carried history
+        (zeros after reset).  ``coeffs`` is a
+        :class:`repro.kernels.xcorr.StackedCoefficients` carrying the
+        ``K`` zero-padded banks (``K = 1`` for the paper's correlator).
+        Returns ``(..., K, n)`` int64 — bank ``k``'s row is
+        byte-identical to the same op run with bank ``k`` alone.
+        """
         plane = np.asarray(plane)
         lead = plane.shape[:-1]
         length = plane.shape[-1]
@@ -108,6 +121,13 @@ class NumpyKernelBackend(KernelBackend):
     def moving_sums(self, padded: np.ndarray, window: int,
                     out: np.ndarray | None = None,
                     csum_scratch=None) -> np.ndarray:
+        """Length-``window`` moving sums over ``(..., window + n)`` rows.
+
+        Each row is ``[tail | energies]`` float64; returns ``(..., n)``
+        float64 computed exactly as the sequential cumulative-sum
+        difference the streaming block uses, so results are
+        bit-identical across batch shapes.
+        """
         padded = np.asarray(padded, dtype=np.float64)
         lead = padded.shape[:-1]
         length = padded.shape[-1]

@@ -5,8 +5,8 @@ repro-lint rule RJ009 flags direct ``np.correlate`` / ``np.convolve``
 choke-point discipline RJ008 applies to process pools: correlation
 datapaths that matter for bit-exactness must go through the kernel
 layer, and the remaining convolution call sites (channel models,
-matched filters) route through here so a future optimization or
-backend swap has exactly one place to land.
+matched filters) route through here so a future optimization has
+exactly one place to land.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, StreamError
-from repro.kernels.dispatch import KernelBackend, get_backend
+from repro.kernels.dispatch import get_backend
 from repro.runtime.cache import cached_artifact
 
 #: Largest integer float32 runs an exact accumulation over.
@@ -329,13 +329,11 @@ class StackedBatchResult:
 
 
 def xcorr_metric_stacked(plane: np.ndarray, coeffs: StackedCoefficients,
-                         backend: "str | KernelBackend | None" = None,
                          out: np.ndarray | None = None,
                          scratch=None) -> np.ndarray:
     """Per-bank squared metric over one shared sign plane: ``(..., K, n)``."""
-    return get_backend(backend).xcorr_metric_stacked(plane, coeffs,
-                                                     out=out,
-                                                     scratch=scratch)
+    return get_backend().xcorr_metric_stacked(plane, coeffs, out=out,
+                                              scratch=scratch)
 
 
 def _check_stacked_thresholds(thresholds: np.ndarray,
@@ -352,7 +350,6 @@ def _check_stacked_thresholds(thresholds: np.ndarray,
 def xcorr_detect_stacked(plane: np.ndarray, coeffs: StackedCoefficients,
                          thresholds: np.ndarray,
                          last: np.ndarray | None = None,
-                         backend: "str | KernelBackend | None" = None,
                          scratch=None) -> StackedDetection:
     """The fused streaming datapath: one GEMM pass, K detectors.
 
@@ -366,8 +363,7 @@ def xcorr_detect_stacked(plane: np.ndarray, coeffs: StackedCoefficients,
     thresholds = _check_stacked_thresholds(thresholds, coeffs)
     if last is None:
         last = np.zeros(coeffs.n_banks, dtype=bool)
-    metric = xcorr_metric_stacked(plane, coeffs, backend=backend,
-                                  scratch=scratch)
+    metric = xcorr_metric_stacked(plane, coeffs, scratch=scratch)
     trigger = metric > thresholds[:, None]
     edge_mask = rising_edge_plane(trigger, last)
     edges = tuple(np.flatnonzero(edge_mask[k])
@@ -382,8 +378,7 @@ def xcorr_detect_stacked_batch(blocks: np.ndarray, lengths: np.ndarray,
                                coeffs: StackedCoefficients,
                                thresholds: np.ndarray,
                                history: np.ndarray | None = None,
-                               last: np.ndarray | None = None,
-                               backend: "str | KernelBackend | None" = None
+                               last: np.ndarray | None = None
                                ) -> StackedBatchResult:
     """Run a batch of chained sample rows through the stacked detector.
 
@@ -431,7 +426,7 @@ def xcorr_detect_stacked_batch(blocks: np.ndarray, lengths: np.ndarray,
                 plane[b, :2 * pairs] = \
                     plane[b - 1, start:start + 2 * pairs]
 
-    metric = xcorr_metric_stacked(plane, coeffs, backend=backend)
+    metric = xcorr_metric_stacked(plane, coeffs)
     trigger = metric > thresholds[None, :, None]
     edge_plane = np.empty_like(trigger)
     for k in range(coeffs.n_banks):

@@ -77,7 +77,7 @@ class Telemetry:
         """Wire this bundle into a device (and optionally its driver).
 
         Probe points covered: the DSP core's detectors / FSM / jam
-        windows, the detector kernels' backend and throughput counters
+        windows, the detector kernels' throughput counters
         (``kernels.*``), the watchdog, the DDC/DUC host profiling
         scopes, and — when a driver is given — its register-write path.
         """

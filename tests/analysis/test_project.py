@@ -209,19 +209,18 @@ class TestFunctionSummaries:
 class TestSubclassQuery:
     def test_subclasses_found_across_modules(self):
         project = _build({
-            "src/repro/kernels/dispatch.py": (
-                "class KernelBackend:\n"
-                "    name = 'base'\n"
+            "src/repro/telemetry/tracer.py": (
+                "class Tracer:\n"
+                "    enabled = False\n"
             ),
-            "src/repro/kernels/np_b.py": (
-                "from repro.kernels.dispatch import KernelBackend\n"
-                "class NumpyB(KernelBackend):\n"
-                "    name = 'numpy'\n"
+            "src/repro/telemetry/ring.py": (
+                "from repro.telemetry.tracer import Tracer\n"
+                "class RingTracer(Tracer):\n"
+                "    enabled = True\n"
             ),
         })
-        subs = project.subclasses_of(
-            "repro.kernels.dispatch:KernelBackend")
-        assert [klass.name for klass in subs] == ["NumpyB"]
+        subs = project.subclasses_of("repro.telemetry.tracer:Tracer")
+        assert [klass.name for klass in subs] == ["RingTracer"]
 
 
 class TestParallelParsing:

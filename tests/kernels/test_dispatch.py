@@ -1,117 +1,14 @@
-"""Backend registry and selection semantics."""
+"""The shared kernel instance the facades and the benchmark read."""
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
-import pytest
-
-from repro.errors import ConfigurationError
-from repro.kernels import (
-    BACKEND_ENV,
-    BackendUnavailable,
-    KernelBackend,
-    NumpyKernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
-from repro.kernels.dispatch import _FACTORIES, _INSTANCES, _WARNED
-
-
-@pytest.fixture
-def scratch_registry():
-    """Snapshot and restore the registry around mutation tests."""
-    factories = dict(_FACTORIES)
-    instances = dict(_INSTANCES)
-    warned = set(_WARNED)
-    yield
-    _FACTORIES.clear()
-    _FACTORIES.update(factories)
-    _INSTANCES.clear()
-    _INSTANCES.update(instances)
-    _WARNED.clear()
-    _WARNED.update(warned)
+from repro.kernels import NumpyKernelBackend, get_backend
 
 
 class TestSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_default_is_numpy(self):
         assert get_backend().name == "numpy"
         assert isinstance(get_backend(), NumpyKernelBackend)
 
-    def test_explicit_name_resolves(self):
-        assert get_backend("numpy").name == "numpy"
-
     def test_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_resolved_instance_passes_through(self):
-        backend = get_backend("numpy")
-        assert get_backend(backend) is backend
-
-    def test_explicit_unknown_raises(self):
-        with pytest.raises(ConfigurationError):
-            get_backend("no-such-backend")
-
-    def test_env_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert get_backend().name == "numpy"
-
-    def test_env_unknown_falls_back_with_warning(self, monkeypatch,
-                                                 scratch_registry):
-        monkeypatch.setenv(BACKEND_ENV, "bogus-backend")
-        _WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="bogus-backend"):
-            backend = get_backend()
-        assert backend.name == "numpy"
-        # The warning is one-shot per name.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert get_backend().name == "numpy"
-
-    def test_env_unavailable_falls_back(self, monkeypatch,
-                                        scratch_registry):
-        def broken():
-            raise BackendUnavailable("optional dep missing")
-
-        register_backend("broken", broken)
-        _WARNED.clear()
-        monkeypatch.setenv(BACKEND_ENV, "broken")
-        with pytest.warns(RuntimeWarning, match="broken"):
-            assert get_backend().name == "numpy"
-
-    def test_explicit_unavailable_raises(self, scratch_registry):
-        def broken():
-            raise BackendUnavailable("optional dep missing")
-
-        register_backend("broken2", broken)
-        with pytest.raises(BackendUnavailable):
-            get_backend("broken2")
-
-
-class TestRegistry:
-    def test_numpy_is_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_unavailable_backend_is_hidden(self, scratch_registry):
-        def broken():
-            raise BackendUnavailable("optional dep missing")
-
-        register_backend("broken3", broken)
-        assert "broken3" not in available_backends()
-
-    def test_custom_backend_dispatches(self, scratch_registry):
-        class Doubler(KernelBackend):
-            name = "doubler"
-
-            def moving_sums(self, padded, window, out=None,
-                            csum_scratch=None):
-                return 2 * NumpyKernelBackend().moving_sums(padded, window)
-
-        register_backend("doubler", Doubler)
-        padded = np.arange(8, dtype=np.float64)
-        ref = get_backend("numpy").moving_sums(padded, 2)
-        doubled = get_backend("doubler").moving_sums(padded, 2)
-        np.testing.assert_array_equal(doubled, 2 * ref)
+        assert get_backend() is get_backend()

@@ -8,22 +8,16 @@ independent streaming ``K = 1`` instances, bank by bank: metric plane,
 trigger plane, rising edges, and the per-bank carry state that chains
 edges across chunk boundaries.  The metric leg also checks every bank
 against the ``np.correlate`` reference over the whole stream.
-
-A numba-vs-numpy leg pins backend parity for the stacked op and
-auto-skips when the optional JIT dependency is absent.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw import CrossCorrelator
 from repro.hw.register_map import CORRELATOR_LENGTH
 from repro.kernels import (
-    BackendUnavailable,
-    get_backend,
     prepare_stacked,
     xcorr_detect_stacked,
     xcorr_detect_stacked_batch,
@@ -176,26 +170,3 @@ class TestBatchLeg:
             last = ref.last
         np.testing.assert_array_equal(result.history, history)
         np.testing.assert_array_equal(result.last, last)
-
-
-class TestNumbaStackedParity:
-    def _backend_or_skip(self):
-        try:
-            return get_backend("numba")
-        except BackendUnavailable:
-            pytest.skip("numba is not installed")
-
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
-           st.integers(1, 120))
-    @settings(max_examples=25, deadline=None)
-    def test_xcorr_metric_stacked_parity(self, seed, n_banks, n):
-        backend = self._backend_or_skip()
-        rng = np.random.default_rng(seed)
-        banks = [(rng.integers(-4, 4, 12), rng.integers(-4, 4, 12))
-                 for _ in range(n_banks)]
-        stacked = prepare_stacked(banks)
-        plane = rng.choice(np.array([-1, 0, 1], dtype=np.int8),
-                           size=2 * (stacked.history_pairs + n))
-        np.testing.assert_array_equal(
-            backend.xcorr_metric_stacked(plane, stacked),
-            get_backend("numpy").xcorr_metric_stacked(plane, stacked))
