@@ -17,7 +17,8 @@ core block-for-block:
 * :mod:`repro.hw.trigger` — the three-stage trigger event state
   machine (paper §2.4).
 * :mod:`repro.hw.tx_controller` — the jamming transmit controller with
-  the three waveform presets, delay, and uptime.
+  the three waveform presets, delay, and uptime; it owns every jam
+  burst from trigger to retirement.
 * :mod:`repro.hw.dsp_core` — the wiring of the four blocks plus event
   bookkeeping (paper Fig. 2).
 * :mod:`repro.hw.ddc` / :mod:`repro.hw.duc` — down/up conversion chain
@@ -41,8 +42,8 @@ from repro.hw.registers import UserRegisterBus
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.trigger import TriggerMode, TriggerSource, TriggerStateMachine
-from repro.hw.tx_controller import JamWaveform, TransmitController
-from repro.hw.dsp_core import CustomDspCore, DetectionEvent, JamEvent
+from repro.hw.tx_controller import JamEvent, JamWaveform, TransmitController
+from repro.hw.dsp_core import CustomDspCore, DetectionEvent
 from repro.hw.usrp import SbxFrontend, UsrpN210
 from repro.hw.uhd import DriverHealth, UhdDriver
 from repro.hw.watchdog import Watchdog, WatchdogConfig, WatchdogTrip

@@ -39,7 +39,7 @@ from repro.hw.trigger import (
     TriggerSource,
     TriggerStateMachine,
 )
-from repro.hw.tx_controller import JamInterval, JamWaveform, TransmitController
+from repro.hw.tx_controller import JamEvent, JamWaveform, TransmitController
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,6 @@ class DetectionEvent:
     time: int
     source: TriggerSource
     protocol: str | None = None
-
-
-@dataclass(frozen=True)
-class JamEvent:
-    """A completed or scheduled jam burst."""
-
-    trigger_time: int
-    start: int
-    end: int
-    waveform: JamWaveform
 
 
 @dataclass
@@ -123,9 +113,6 @@ class CustomDspCore:
         self._tracer: Tracer = NULL_TRACER
         self.profiler: "HostProfiler | None" = None
         self._clock = 0  # absolute index of the next sample to process
-        self._last_ehigh = False
-        self._last_elow = False
-        self._active_intervals: list[JamInterval] = []
         self._continuous_since: int | None = None
         self.detection_counts = {source: 0 for source in TriggerSource}
         self.jam_count = 0
@@ -407,9 +394,6 @@ class CustomDspCore:
         self.fsm.reset()
         self.tx.reset()
         self._clock = 0
-        self._last_ehigh = False
-        self._last_elow = False
-        self._active_intervals.clear()
         self._continuous_since = None if self._continuous_since is None else 0
         self.detection_counts = {source: 0 for source in TriggerSource}
         self.jam_count = 0
@@ -451,22 +435,17 @@ class CustomDspCore:
         correlator = self.banked if stacked else self.correlator
         if profiler is None:
             _trig, xcorr_edges = correlator.detect(samples)
-            ehigh_trig, elow_trig, ehigh_edges, elow_edges = \
-                self.energy.detect(samples, self._last_ehigh,
-                                   self._last_elow)
+            _high, _low, ehigh_edges, elow_edges = self.energy.detect(samples)
         else:
             with profiler.profile("xcorr"):
                 _trig, xcorr_edges = correlator.detect(samples)
             with profiler.profile("energy"):
-                ehigh_trig, elow_trig, ehigh_edges, elow_edges = \
-                    self.energy.detect(samples, self._last_ehigh,
-                                       self._last_elow)
-        # The correlator owns its per-bank trigger carries; the paper's
-        # bank fires with no protocol label.
+                _high, _low, ehigh_edges, elow_edges = \
+                    self.energy.detect(samples)
+        # The detectors own their trigger carries; the paper's bank
+        # fires with no protocol label.
         protocols = correlator.labels if stacked else (None,)
         xcorr_banks = list(zip(xcorr_edges, protocols))
-        self._last_ehigh = bool(ehigh_trig[-1])
-        self._last_elow = bool(elow_trig[-1])
 
         detections = self._collect_detections(
             chunk_start, xcorr_banks, ehigh_edges, elow_edges
@@ -475,31 +454,36 @@ class CustomDspCore:
             [(event.time, event.source) for event in detections]
         )
 
-        new_intervals: list[JamInterval] = []
-        if self._tx_allowed and jam_times:
-            new_intervals = self._schedule_with_capture(
-                jam_times, samples, chunk_start
+        # The transmit controller owns every burst; each of its stages
+        # runs once per chunk.
+        watchdog = self.watchdog
+        jams = self.tx.schedule(
+            jam_times if self._tx_allowed else [],
+            samples, chunk_start,
+            None if watchdog is None else watchdog.admit_interval,
+        )
+        self.tx.observe_rx(samples)
+        self.jam_count += len(jams)
+        muted = watchdog is not None and watchdog.safe_state
+        continuous = None
+        if self._continuous_since is not None and self._tx_allowed:
+            allowed = n if watchdog is None \
+                else watchdog.continuous_allowance(chunk_start, n)
+            continuous = JamEvent(
+                trigger_time=self._continuous_since,
+                start=self._continuous_since,
+                end=chunk_start + allowed, waveform=JamWaveform.WGN,
             )
-            if self.watchdog is not None:
-                new_intervals = self._admit_intervals(new_intervals)
-        else:
-            self.tx.observe_rx(samples)
-        self.jam_count += len(new_intervals)
-        self._active_intervals.extend(new_intervals)
-
-        tx_chunk = self._synthesize_tx(chunk_start, n)
-        jams = [JamEvent(trigger_time=iv.trigger_time, start=iv.start,
-                         end=iv.end, waveform=iv.waveform)
-                for iv in new_intervals]
+        tx_chunk = self.tx.synthesize(chunk_start, n, continuous=continuous,
+                                      mute=muted)
         if self._tracer.enabled:
-            for interval in new_intervals:
+            for jam in jams:
                 self._tracer.span(
-                    "jam", CAT_TX, interval.start, interval.end,
-                    trigger_sample=interval.trigger_time,
-                    waveform=interval.waveform.name,
+                    "jam", CAT_TX, jam.start, jam.end,
+                    trigger_sample=jam.trigger_time,
+                    waveform=jam.waveform.name,
                 )
         self._clock += n
-        self._retire_intervals()
         return CoreOutput(tx=tx_chunk, detections=detections, jams=jams)
 
     def skip(self, n: int) -> None:
@@ -515,11 +499,10 @@ class CustomDspCore:
         if n < 0:
             raise StreamError("cannot skip a negative number of samples")
         self._clock += n
-        self._last_ehigh = False
-        self._last_elow = False
+        self.energy.clear_last()
         self.correlator.clear_last()
         self.banked.clear_last()
-        self._retire_intervals()
+        self.tx.retire(self._clock)
 
     def _collect_detections(self, chunk_start: int,
                             xcorr_banks: list,
@@ -582,74 +565,3 @@ class CustomDspCore:
                         which_protocol=event.protocol,
                     )
         return events
-
-    def _admit_intervals(self, intervals: list[JamInterval]
-                         ) -> list[JamInterval]:
-        """Run scheduled bursts past the watchdog's duty guard.
-
-        A vetoed burst is cancelled in the transmit controller too, so
-        the pipeline does not stay busy for a burst that never airs.
-        """
-        admitted: list[JamInterval] = []
-        for interval in intervals:
-            if self.watchdog.admit_interval(interval.start, interval.end):
-                admitted.append(interval)
-            else:
-                self.tx.cancel_interval(interval)
-        return admitted
-
-    def _schedule_with_capture(self, jam_times: list[int],
-                               quantized: np.ndarray,
-                               chunk_start: int) -> list[JamInterval]:
-        """Schedule bursts, feeding RX history up to each trigger first.
-
-        Replay captures must contain only samples received *before*
-        their trigger, so the chunk is fed to the capture buffer in
-        segments split at the trigger times.
-        """
-        intervals: list[JamInterval] = []
-        fed = 0
-        for trigger in jam_times:
-            local = trigger - chunk_start
-            upto = min(max(local + 1, 0), quantized.size)
-            if upto > fed:
-                self.tx.observe_rx(quantized[fed:upto])
-                fed = upto
-            intervals.extend(self.tx.schedule([trigger]))
-        if fed < quantized.size:
-            self.tx.observe_rx(quantized[fed:])
-        return intervals
-
-    def _synthesize_tx(self, chunk_start: int, n: int) -> np.ndarray:
-        tx_chunk = np.zeros(n, dtype=np.complex128)
-        if self.watchdog is not None and self.watchdog.safe_state:
-            return tx_chunk  # safe state: nothing leaves the DUC
-        if self._continuous_since is not None and self._tx_allowed:
-            allowed = n
-            if self.watchdog is not None:
-                allowed = self.watchdog.continuous_allowance(chunk_start, n)
-            if allowed == 0:
-                return tx_chunk
-            burst = JamInterval(
-                trigger_time=self._continuous_since,
-                start=self._continuous_since,
-                end=chunk_start + allowed,
-                waveform=JamWaveform.WGN,
-            )
-            offset, wave = self.tx.synthesize(burst, chunk_start, n)
-            tx_chunk[offset:offset + wave.size] = wave
-            return tx_chunk
-        for interval in self._active_intervals:
-            offset, wave = self.tx.synthesize(interval, chunk_start, n)
-            if wave.size:
-                tx_chunk[offset:offset + wave.size] += wave
-        return tx_chunk
-
-    def _retire_intervals(self) -> None:
-        still_active: list[JamInterval] = []
-        for interval in self._active_intervals:
-            if interval.end <= self._clock:
-                self.tx.release_interval(interval)
-            else:
-                still_active.append(interval)
-        self._active_intervals = still_active

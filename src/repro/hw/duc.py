@@ -4,8 +4,9 @@ The DUC takes the custom core's transmit samples (25 MSPS, full scale
 +-1.0), applies the TX gain, and hands them to the RF front end.  Its
 fill latency — about seven clock cycles to populate the interpolation
 pipeline — is part of the paper's 80 ns T_init and is accounted for in
-:mod:`repro.hw.tx_controller`; here we model the amplitude path and
-full-scale clipping.
+:mod:`repro.hw.tx_controller`; here we model the amplitude path only.
+Samples are not clipped at digital full scale: the gain is applied
+as-is.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class DigitalUpConverter:
         self._tx_gain = units.db_to_amplitude(self._tx_gain_db)
 
     def process(self, samples: np.ndarray) -> np.ndarray:
-        """Apply TX gain; the DAC clips at digital full scale."""
+        """Apply TX gain (no full-scale clipping is modelled)."""
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise StreamError("DUC expects a 1-D complex chunk")

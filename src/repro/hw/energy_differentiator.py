@@ -58,6 +58,9 @@ class EnergyDifferentiator:
         # the last `delay` sums (for the comparison delay line).
         self._energy_tail = np.zeros(window, dtype=np.float64)
         self._sum_tail = np.zeros(delay, dtype=np.float64)
+        # Final trigger values of the previous chunk (edge carries).
+        self._last_high = False
+        self._last_low = False
         # Reusable [tail | chunk] assembly buffers: padding and cumsum
         # happen in scratch storage instead of fresh per-chunk arrays.
         self._pad_scratch = ScratchBuffer(np.float64)
@@ -119,9 +122,10 @@ class EnergyDifferentiator:
         return self._delay
 
     def reset(self) -> None:
-        """Clear the energy and sum delay lines."""
+        """Clear the energy and sum delay lines and the edge carries."""
         self._energy_tail[:] = 0.0
         self._sum_tail[:] = 0.0
+        self.clear_last()
 
     def energy_sums(self, samples: np.ndarray) -> np.ndarray:
         """The moving energy sum per incoming sample (consumes input)."""
@@ -159,22 +163,27 @@ class EnergyDifferentiator:
         trigger_low = sums * self._threshold_low < delayed
         return trigger_high, trigger_low
 
-    def detect(self, samples: np.ndarray, last_high: bool = False,
-               last_low: bool = False
+    def detect(self, samples: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fused triggers plus rising-edge indices for both directions.
 
-        ``last_high``/``last_low`` carry the final trigger values of
-        the previous chunk so edges are not double-counted across
-        chunk boundaries.  Returns ``(trigger_high, trigger_low,
-        edges_high, edges_low)``.
+        The final trigger values of each chunk carry into the next, so
+        an edge is not double-counted across a chunk boundary.
+        Returns ``(trigger_high, trigger_low, edges_high, edges_low)``.
         """
         trigger_high, trigger_low = self.process(samples)
         if trigger_high.size == 0:
             empty = np.zeros(0, dtype=np.int64)
             return trigger_high, trigger_low, empty, empty
         edges_high = np.flatnonzero(
-            rising_edge_plane(trigger_high, last_high))
+            rising_edge_plane(trigger_high, self._last_high))
         edges_low = np.flatnonzero(
-            rising_edge_plane(trigger_low, last_low))
+            rising_edge_plane(trigger_low, self._last_low))
+        self._last_high = bool(trigger_high[-1])
+        self._last_low = bool(trigger_low[-1])
         return trigger_high, trigger_low, edges_high, edges_low
+
+    def clear_last(self) -> None:
+        """Forget the edge carries only (used across skipped gaps)."""
+        self._last_high = False
+        self._last_low = False

@@ -13,16 +13,20 @@ user target specific packet locations ("surgical" jamming).  The RF
 response begins 8 FPGA clock cycles after the trigger (1 cycle to
 initiate plus ~7 to populate the DUC), i.e. 80 ns — the paper's T_init.
 
-The controller operates on absolute sample timestamps so the
-surrounding core can run vectorized: triggers come in as timestamps,
-jam intervals go out as ``(start, end)`` spans, and the waveform for a
-chunk is synthesized only where intervals overlap the chunk.
+The controller owns each burst from trigger to retirement and operates
+on absolute sample timestamps, so the surrounding core can run
+vectorized with one call per stage and chunk: :meth:`schedule` turns
+the chunk's triggers into admitted bursts (busy rule, duty guard,
+replay capture), :meth:`observe_rx` keeps the capture history, and
+:meth:`synthesize` renders the bursts overlapping the chunk and
+retires those that end inside it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -54,8 +58,8 @@ class JamWaveform(enum.IntEnum):
 
 
 @dataclass(frozen=True)
-class JamInterval:
-    """One scheduled jamming burst on the absolute sample timeline.
+class JamEvent:
+    """One jamming burst on the absolute sample timeline.
 
     ``start``/``end`` delimit the transmitted span (end exclusive);
     ``trigger_time`` is the FSM completion time that caused it.
@@ -68,7 +72,7 @@ class JamInterval:
 
 
 class TransmitController:
-    """Schedules jam bursts and synthesizes the jamming waveform."""
+    """Owns every jam burst: schedule, capture, admit, render, retire."""
 
     def __init__(self, waveform: JamWaveform = JamWaveform.WGN,
                  uptime_samples: int = 2500, delay_samples: int = 0,
@@ -80,12 +84,11 @@ class TransmitController:
         self.replay_length = replay_length
         self.amplitude = amplitude
         self._wgn_seed = int(wgn_seed)
-        self.continuous = False
         self._busy_until = -1
         self._rx_history = np.zeros(0, dtype=np.complex128)
         self._host_waveform = np.zeros(0, dtype=np.complex128)
-        # Waveform snapshots per active interval, keyed by interval start.
-        self._interval_sources: dict[int, np.ndarray] = {}
+        # Active bursts, each with its REPLAY snapshot (else None).
+        self._active: list[tuple[JamEvent, np.ndarray | None]] = []
 
     # ------------------------------------------------------------------
     # Configuration
@@ -164,49 +167,62 @@ class TransmitController:
         self._host_waveform = samples.copy()
 
     def reset(self) -> None:
-        """Abort any active burst and clear capture history."""
+        """Abort every active burst and clear capture history."""
         self._busy_until = -1
         self._rx_history = np.zeros(0, dtype=np.complex128)
-        self._interval_sources.clear()
+        self._active.clear()
 
     # ------------------------------------------------------------------
-    # Scheduling
+    # Burst lifecycle: schedule -> observe_rx -> synthesize, per chunk
 
-    def schedule(self, trigger_times: list[int]) -> list[JamInterval]:
-        """Turn FSM jam triggers into transmit intervals.
+    def schedule(self, trigger_times: list[int],
+                 rx_chunk: np.ndarray | None = None, chunk_start: int = 0,
+                 admit: Callable[[int, int], bool] | None = None
+                 ) -> list[JamEvent]:
+        """Turn FSM jam triggers into bursts; returns the admitted ones.
 
         Triggers that arrive while a previous burst (including its
         delay period) is still pending are ignored, as the hardware's
         single transmit pipeline cannot queue overlapping bursts.
+        ``admit(start, end)`` is the duty guard: it runs before a
+        burst marks the pipeline busy, so a vetoed burst leaves later
+        triggers free to fire.  ``rx_chunk`` is the chunk received
+        from ``chunk_start`` on, not yet passed to :meth:`observe_rx`;
+        a REPLAY burst snapshots the samples received up to and
+        including its trigger.
         """
-        intervals: list[JamInterval] = []
+        bursts: list[JamEvent] = []
         for trigger in trigger_times:
             if trigger < self._busy_until:
                 continue
             start = trigger + INIT_LATENCY_SAMPLES + self._delay
             end = start + self._uptime
+            if admit is not None and not admit(start, end):
+                continue
             self._busy_until = end
-            intervals.append(JamInterval(
-                trigger_time=trigger, start=start, end=end,
-                waveform=self._waveform,
-            ))
+            burst = JamEvent(trigger_time=trigger, start=start, end=end,
+                             waveform=self._waveform)
+            source = None
             if self._waveform is JamWaveform.REPLAY:
-                self._interval_sources[start] = self._capture_replay()
-        return intervals
+                received = self._rx_history[:0] if rx_chunk is None \
+                    else rx_chunk[:max(trigger - chunk_start + 1, 0)]
+                source = self._recent(received, self._replay_length)
+                if source.size == 0:
+                    source = np.zeros(1, dtype=np.complex128)
+            self._active.append((burst, source))
+            bursts.append(burst)
+        return bursts
 
-    def _capture_replay(self) -> np.ndarray:
-        """Snapshot the most recent received samples for replay."""
-        if self._rx_history.size == 0:
-            return np.zeros(1, dtype=np.complex128)
-        return self._rx_history[-self._replay_length:].copy()
+    def _recent(self, received: np.ndarray, depth: int) -> np.ndarray:
+        """The last ``depth`` samples of ``[history | received]`` (a copy)."""
+        received = received[-depth:]
+        keep = self._rx_history.size - (depth - received.size)
+        return np.concatenate([self._rx_history[max(keep, 0):], received])
 
     def observe_rx(self, rx_chunk: np.ndarray) -> None:
         """Feed received samples into the replay capture buffer."""
-        rx_chunk = np.asarray(rx_chunk, dtype=np.complex128)
-        if rx_chunk.size == 0:
-            return
-        combined = np.concatenate([self._rx_history, rx_chunk])
-        self._rx_history = combined[-MAX_REPLAY_LENGTH:]
+        self._rx_history = self._recent(np.asarray(rx_chunk),
+                                        MAX_REPLAY_LENGTH)
 
     # ------------------------------------------------------------------
     # Waveform synthesis
@@ -224,49 +240,46 @@ class TransmitController:
         samples = (pairs[0::2] + 1j * pairs[1::2]) / np.sqrt(2.0)
         return samples
 
-    def synthesize(self, interval: JamInterval, chunk_start: int,
-                   chunk_length: int) -> tuple[int, np.ndarray]:
-        """Waveform samples where ``interval`` overlaps the chunk.
+    def synthesize(self, chunk_start: int, n: int, *,
+                   continuous: JamEvent | None = None,
+                   mute: bool = False) -> np.ndarray:
+        """The transmit waveform for ``[chunk_start, chunk_start + n)``.
 
-        Returns ``(local_offset, samples)``; ``samples`` may be empty
-        when there is no overlap.
+        Renders every active burst that overlaps the chunk, then drops
+        the bursts that end inside it.  A ``continuous`` WGN burst is
+        rendered in place of the scheduled ones (which still run out
+        their time); ``mute`` (the watchdog's safe state) renders
+        nothing.
         """
-        lo = max(interval.start, chunk_start)
-        hi = min(interval.end, chunk_start + chunk_length)
-        if hi <= lo:
-            return 0, np.zeros(0, dtype=np.complex128)
-        offset_in_burst = lo - interval.start
-        count = hi - lo
-        if interval.waveform is JamWaveform.WGN:
-            wave = self._wgn_samples(interval.start, offset_in_burst, count)
-        elif interval.waveform is JamWaveform.REPLAY:
-            source = self._interval_sources.get(
-                interval.start, np.zeros(1, dtype=np.complex128)
-            )
-            idx = (offset_in_burst + np.arange(count)) % source.size
-            wave = source[idx]
+        tx = np.zeros(n, dtype=np.complex128)
+        if mute:
+            bursts = []
+        elif continuous is not None:
+            bursts = [(continuous, None)]
         else:
-            if self._host_waveform.size == 0:
-                # An empty host transmit buffer radiates silence, as
-                # an un-filled hardware FIFO would — never a crash.
-                wave = np.zeros(count, dtype=np.complex128)
+            bursts = self._active
+        for burst, source in bursts:
+            lo = max(burst.start, chunk_start)
+            hi = min(burst.end, chunk_start + n)
+            if hi <= lo:
+                continue
+            offset, count = lo - burst.start, hi - lo
+            if burst.waveform is JamWaveform.WGN:
+                wave = self._wgn_samples(burst.start, offset, count)
             else:
-                idx = (offset_in_burst
-                       + np.arange(count)) % self._host_waveform.size
-                wave = self._host_waveform[idx]
-        return lo - chunk_start, wave * self._amplitude
+                if source is None:
+                    source = self._host_waveform
+                if source.size == 0:
+                    # An empty host transmit buffer radiates silence,
+                    # as an un-filled hardware FIFO would — never a
+                    # crash.
+                    continue
+                wave = source[(offset + np.arange(count)) % source.size]
+            tx[lo - chunk_start:hi - chunk_start] += wave * self._amplitude
+        self.retire(chunk_start + n)
+        return tx
 
-    def release_interval(self, interval: JamInterval) -> None:
-        """Drop the replay snapshot of a finished burst."""
-        self._interval_sources.pop(interval.start, None)
-
-    def cancel_interval(self, interval: JamInterval) -> None:
-        """Abort a just-scheduled burst before any sample is emitted.
-
-        Used by the watchdog's duty-cycle guard: a vetoed burst must
-        also free the transmit pipeline, otherwise the controller would
-        stay busy for a burst that never airs.
-        """
-        self._interval_sources.pop(interval.start, None)
-        if self._busy_until == interval.end:
-            self._busy_until = interval.trigger_time
+    def retire(self, until: int) -> None:
+        """Drop the bursts that end by sample ``until``."""
+        self._active = [(burst, source) for burst, source in self._active
+                        if burst.end > until]

@@ -194,18 +194,33 @@ class UhdDriver:
     def set_correlator_coefficients(self, coeffs_i: np.ndarray,
                                     coeffs_q: np.ndarray) -> None:
         """Ship 3-bit signed coefficient banks over the register bus."""
-        words_i = pack_signed_fields([int(c) for c in coeffs_i],
-                                     regmap.COEFF_BITS)
-        words_q = pack_signed_fields([int(c) for c in coeffs_q],
-                                     regmap.COEFF_BITS)
-        if len(words_i) != regmap.COEFF_WORDS or len(words_q) != regmap.COEFF_WORDS:
+        self._write_coefficients(coeffs_i, coeffs_q)
+
+    def _write_coefficients(self, coeffs_i: np.ndarray, coeffs_q: np.ndarray,
+                            bank: int | None = None) -> None:
+        """Pack one I/Q coefficient pair and write it, I words first.
+
+        Without ``bank`` the words go to the paper's correlator
+        (registers 0-23); with one, the index is latched into
+        ``REG_BANK_SELECT`` and the words go through the bank window.
+        The length check runs before any write.
+        """
+        words = [pack_signed_fields([int(c) for c in coeffs],
+                                    regmap.COEFF_BITS)
+                 for coeffs in (coeffs_i, coeffs_q)]
+        if any(len(part) != regmap.COEFF_WORDS for part in words):
             raise ConfigurationError(
                 f"expected {regmap.CORRELATOR_LENGTH} coefficients per bank"
             )
-        for offset, word in enumerate(words_i):
-            self._write(regmap.REG_COEFF_I_BASE + offset, word)
-        for offset, word in enumerate(words_q):
-            self._write(regmap.REG_COEFF_Q_BASE + offset, word)
+        if bank is None:
+            bases = (regmap.REG_COEFF_I_BASE, regmap.REG_COEFF_Q_BASE)
+        else:
+            self._write(regmap.REG_BANK_SELECT, bank)
+            bases = (regmap.REG_BANK_COEFF_I_BASE,
+                     regmap.REG_BANK_COEFF_Q_BASE)
+        for base, part in zip(bases, words):
+            for offset, word in enumerate(part):
+                self._write(base + offset, word)
 
     def set_correlator_template(self, template: np.ndarray) -> None:
         """Quantize a complex preamble template and load it.
@@ -230,23 +245,6 @@ class UhdDriver:
                 f"bank index {index} outside 0..{regmap.MAX_BANKS - 1}"
             )
         return index
-
-    def _write_bank_coefficients(self, index: int, coeffs_i: np.ndarray,
-                                 coeffs_q: np.ndarray) -> None:
-        words_i = pack_signed_fields([int(c) for c in coeffs_i],
-                                     regmap.COEFF_BITS)
-        words_q = pack_signed_fields([int(c) for c in coeffs_q],
-                                     regmap.COEFF_BITS)
-        if len(words_i) != regmap.COEFF_WORDS \
-                or len(words_q) != regmap.COEFF_WORDS:
-            raise ConfigurationError(
-                f"expected {regmap.CORRELATOR_LENGTH} coefficients per bank"
-            )
-        self._write(regmap.REG_BANK_SELECT, index)
-        for offset, word in enumerate(words_i):
-            self._write(regmap.REG_BANK_COEFF_I_BASE + offset, word)
-        for offset, word in enumerate(words_q):
-            self._write(regmap.REG_BANK_COEFF_Q_BASE + offset, word)
 
     def set_bank_threshold(self, index: int, threshold: int) -> None:
         """Retune one stacked bank's threshold (one verified write)."""
@@ -279,8 +277,7 @@ class UhdDriver:
             self.device.core.set_bank_label(index, label)
         if threshold is not None:
             self.set_bank_threshold(index, threshold)
-        coeffs_i, coeffs_q = quantize_coefficients(template)
-        self._write_bank_coefficients(index, coeffs_i, coeffs_q)
+        self._write_coefficients(*quantize_coefficients(template), bank=index)
 
     def set_correlator_banks(self, templates, thresholds,
                              labels=None) -> None:
@@ -314,8 +311,8 @@ class UhdDriver:
         for index, threshold in enumerate(thresholds):
             self.set_bank_threshold(index, threshold)
         for index, template in enumerate(templates):
-            coeffs_i, coeffs_q = quantize_coefficients(template)
-            self._write_bank_coefficients(index, coeffs_i, coeffs_q)
+            self._write_coefficients(*quantize_coefficients(template),
+                                     bank=index)
         self._write(regmap.REG_BANK_COUNT, count)
 
     def set_energy_thresholds(self, high_db: float, low_db: float) -> None:

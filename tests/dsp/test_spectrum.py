@@ -64,8 +64,8 @@ class TestFrameworkRfClaims:
         from repro.hw.tx_controller import TransmitController
 
         tx = TransmitController(uptime_samples=40_000)
-        interval = tx.schedule([0])[0]
-        _off, wave = tx.synthesize(interval, 0, 40_000)
+        burst = tx.schedule([0])[0]
+        wave = tx.synthesize(0, burst.end)[burst.start:]
         bw = occupied_bandwidth(wave, units.BASEBAND_RATE, fraction=0.99)
         assert bw > 0.9 * units.BASEBAND_RATE
         assert spectral_flatness_db(wave, units.BASEBAND_RATE) < 4.0

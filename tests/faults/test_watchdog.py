@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hw import register_map as regmap
+from repro.hw.dsp_core import CustomDspCore
 from repro.hw.usrp import UsrpN210
 from repro.hw.watchdog import (
     TRIP_DUTY_CYCLE,
@@ -171,3 +172,32 @@ class TestCoreIntegration:
         device = UsrpN210()
         with pytest.raises(ConfigurationError):
             device.bus.write(regmap.REG_JAM_WAVEFORM, 3)
+
+
+class TestDutyGuardChunking:
+    """A vetoed burst frees the pipeline however the stream is chunked."""
+
+    @staticmethod
+    def _run(chunk):
+        rng = np.random.default_rng(5)
+        rx = 1e-3 * (rng.standard_normal(4096)
+                     + 1j * rng.standard_normal(4096))
+        for lo in (100, 1290, 1490):
+            rx[lo:lo + 100] *= 300
+        core = CustomDspCore(watchdog=Watchdog(WatchdogConfig(
+            max_duty_cycle=0.5, duty_window_samples=1000)))
+        core.bus.write(regmap.REG_JAM_UPTIME, 400)
+        jams = []
+        for lo in range(0, rx.size, chunk):
+            jams.extend(core.process(rx[lo:lo + chunk]).jams)
+        trips = [(trip.time, trip.reason) for trip in core.watchdog.trips]
+        return [(j.trigger_time, j.start, j.end) for j in jams], trips
+
+    @pytest.mark.parametrize("chunk", [4096, 1400])
+    def test_vetoed_burst_does_not_block_same_chunk_trigger(self, chunk):
+        # The burst triggered at 1290 is vetoed; the trigger at 1490
+        # falls inside its would-be span and must still fire, whether
+        # or not the two triggers share a chunk.
+        jams, trips = self._run(chunk)
+        assert jams == [(0, 2, 402), (1490, 1492, 1892)]
+        assert trips == [(1292, TRIP_DUTY_CYCLE)]

@@ -148,6 +148,30 @@ class TestDataPath:
         assert not out.jams
         assert np.all(out.tx == 0)
 
+    def test_disabling_mid_burst_finishes_the_active_burst(self, rng,
+                                                          template):
+        core = make_core(template)
+        rx = awgn(1000, 1e-6, rng)
+        rx[500:564] += template
+        first = core.process(rx[:600])
+        assert [(j.start, j.end) for j in first.jams] == [(565, 665)]
+        core.bus.write(regmap.REG_CONTROL_FLAGS, 0)  # disable
+        rest = core.process(rx[600:])
+        assert np.all(np.abs(rest.tx[:65]) > 0)
+        assert np.all(rest.tx[65:] == 0)
+
+    def test_skip_emits_nothing_for_bursts_ending_in_the_gap(self, rng,
+                                                             template):
+        rx = awgn(1400, 1e-6, rng)
+        rx[500:564] += template
+        for uptime, on_air in ((100, 0), (300, 165)):
+            core = make_core(template, uptime=uptime)
+            core.process(rx[:600])
+            core.skip(100)  # the burst runs [565, 565 + uptime)
+            tx = core.process(rx[700:]).tx
+            assert np.all(np.abs(tx[:on_air]) > 0)
+            assert np.all(tx[on_air:] == 0)
+
     def test_continuous_mode_transmits_always(self, rng, template):
         core = make_core(template)
         core.bus.write(regmap.REG_CONTROL_FLAGS,

@@ -49,12 +49,9 @@ class TestEnergyDetectBatch:
         detector = EnergyDifferentiator(threshold_high_db=threshold_db,
                                         threshold_low_db=threshold_db)
         outs = []
-        last_high = last_low = False
         for row, length in zip(rows, lengths):
             trig_high, trig_low, edges_high, edges_low = detector.detect(
-                row[:length], last_high, last_low)
-            last_high = bool(trig_high[-1])
-            last_low = bool(trig_low[-1])
+                row[:length])
             outs.append((trig_high, trig_low,
                          edges_high.size, edges_low.size))
         return outs, detector
