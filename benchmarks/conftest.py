@@ -23,6 +23,7 @@ BENCH_KERNELS_PATH = _REPO_ROOT / "BENCH_kernels.json"
 BENCH_RESILIENCE_PATH = _REPO_ROOT / "BENCH_resilience.json"
 BENCH_DEFENSE_PATH = _REPO_ROOT / "BENCH_defense.json"
 BENCH_MULTISTANDARD_PATH = _REPO_ROOT / "BENCH_multistandard.json"
+BENCH_TX_PATH = _REPO_ROOT / "BENCH_tx.json"
 
 
 def _record_fixture(path: Path):
@@ -69,3 +70,9 @@ def defense_record():
 def multistandard_record():
     """A dict the stacked-bank benchmarks drop their results into."""
     yield from _record_fixture(BENCH_MULTISTANDARD_PATH)
+
+
+@pytest.fixture(scope="session")
+def tx_record():
+    """A dict the transmit-synthesis benchmarks drop their results into."""
+    yield from _record_fixture(BENCH_TX_PATH)

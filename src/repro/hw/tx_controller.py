@@ -7,11 +7,15 @@ transmit data path and emits one of three user-selectable waveforms:
 2. a repetitive replay of up to the 512 most recently received samples,
 3. the waveform currently streamed to the transmit buffer by the host.
 
-Jamming duration (uptime) ranges from 1 sample (40 ns) to 2^32 samples
-(~40 s); an optional delay between trigger and transmission lets the
-user target specific packet locations ("surgical" jamming).  The RF
-response begins 8 FPGA clock cycles after the trigger (1 cycle to
-initiate plus ~7 to populate the DUC), i.e. 80 ns — the paper's T_init.
+Jamming duration (uptime) ranges from 1 sample (40 ns) to the paper's
+"about 40 s".  The paper gives that limit as 2^32 samples, but 2^32
+samples at 40 ns would be ~172 s; what the hardware counts is 2^32
+cycles of the 100 MHz clock, i.e. 2^30 samples (42.9 s,
+:data:`MAX_UPTIME_SAMPLES`).  An optional delay between trigger and
+transmission lets the user target specific packet locations
+("surgical" jamming).  The RF response begins 8 FPGA clock cycles
+after the trigger (1 cycle to initiate plus ~7 to populate the DUC),
+i.e. 80 ns — the paper's T_init.
 
 The controller owns each burst from trigger to retirement and operates
 on absolute sample timestamps, so the surrounding core can run
@@ -89,6 +93,10 @@ class TransmitController:
         self._host_waveform = np.zeros(0, dtype=np.complex128)
         # Active bursts, each with its REPLAY snapshot (else None).
         self._active: list[tuple[JamEvent, np.ndarray | None]] = []
+        # Carried WGN generators: (seed, burst start) -> (generator,
+        # samples drawn so far).
+        self._wgn_streams: dict[tuple[int, int],
+                                tuple[np.random.Generator, int]] = {}
 
     # ------------------------------------------------------------------
     # Configuration
@@ -171,6 +179,7 @@ class TransmitController:
         self._busy_until = -1
         self._rx_history = np.zeros(0, dtype=np.complex128)
         self._active.clear()
+        self._wgn_streams.clear()
 
     # ------------------------------------------------------------------
     # Burst lifecycle: schedule -> observe_rx -> synthesize, per chunk
@@ -227,17 +236,29 @@ class TransmitController:
     # ------------------------------------------------------------------
     # Waveform synthesis
 
-    def _wgn_samples(self, interval_start: int, offset: int, count: int) -> np.ndarray:
-        """Deterministic WGN: a per-burst stream seeded from the burst start.
+    def _wgn_samples(self, interval_start: int, offset: int,
+                     count: int) -> np.ndarray:
+        """Samples ``[offset, offset + count)`` of a burst's WGN stream.
 
-        Seeding from ``(seed, interval_start)`` makes the synthesized
-        waveform independent of how the timeline is chunked.
+        Each burst draws from one generator seeded from ``(seed,
+        interval_start)``, which makes the waveform independent of how
+        the timeline is chunked.  The generator is carried across
+        chunks with a cursor (samples drawn so far), so a burst of any
+        length costs one draw per sample: a forward gap discards only
+        the gap, and only a rewind (``offset`` behind the cursor)
+        reseeds.  The carried state is a pure function of ``(seed,
+        interval_start, cursor)``, so a stale entry never changes the
+        output.
         """
-        rng = np.random.default_rng((self._wgn_seed, interval_start))
-        if offset:
-            rng.standard_normal(2 * offset)  # advance the stream
-        pairs = rng.standard_normal(2 * count)
-        samples = (pairs[0::2] + 1j * pairs[1::2]) / np.sqrt(2.0)
+        key = (self._wgn_seed, interval_start)
+        rng, cursor = self._wgn_streams.get(key, (None, 0))
+        if rng is None or cursor > offset:
+            rng, cursor = np.random.default_rng(key), 0
+        if offset > cursor:
+            rng.standard_normal(2 * (offset - cursor))  # skip the gap
+        samples = rng.standard_normal(2 * count).view(np.complex128)
+        samples /= np.sqrt(2.0)
+        self._wgn_streams[key] = (rng, offset + count)
         return samples
 
     def synthesize(self, chunk_start: int, n: int, *,
@@ -249,16 +270,15 @@ class TransmitController:
         the bursts that end inside it.  A ``continuous`` WGN burst is
         rendered in place of the scheduled ones (which still run out
         their time); ``mute`` (the watchdog's safe state) renders
-        nothing.
+        nothing.  Only the WGN streams of the bursts live in this chunk
+        are kept, so their number is bounded by the bursts in one chunk.
         """
         tx = np.zeros(n, dtype=np.complex128)
-        if mute:
-            bursts = []
-        elif continuous is not None:
-            bursts = [(continuous, None)]
-        else:
-            bursts = self._active
-        for burst, source in bursts:
+        live = self._active if continuous is None else [(continuous, None)]
+        keep = {(self._wgn_seed, burst.start) for burst, _ in live}
+        self._wgn_streams = {key: state for key, state
+                             in self._wgn_streams.items() if key in keep}
+        for burst, source in [] if mute else live:
             lo = max(burst.start, chunk_start)
             hi = min(burst.end, chunk_start + n)
             if hi <= lo:
@@ -275,7 +295,8 @@ class TransmitController:
                     # crash.
                     continue
                 wave = source[(offset + np.arange(count)) % source.size]
-            tx[lo - chunk_start:hi - chunk_start] += wave * self._amplitude
+            wave *= self._amplitude
+            tx[lo - chunk_start:hi - chunk_start] += wave
         self.retire(chunk_start + n)
         return tx
 

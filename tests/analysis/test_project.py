@@ -3,17 +3,16 @@
 The acceptance budget for the whole analysis is explicit: a full
 project index plus all thirteen rules over the entire repository in
 under ten seconds.  The timing tests here measure the index phase
-directly against the real source tree, and the parallel-parse tests
-assert result *parity* unconditionally and speedup only where the box
-actually has cores to spend (single-core CI runners prove nothing
-about a pool).
+directly against the real source tree, and the parallel-parse test
+asserts result *parity*.  Whether the parse pool is also faster is a
+wall-clock question for the ``perf`` suite
+(``benchmarks/test_bench_lint_parse.py``).
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import statistics
 import time
 from pathlib import Path
 
@@ -234,29 +233,6 @@ class TestParallelParsing:
             for a, b in zip(serial, parallel)
             if a.tree is not None and b.tree is not None
         )
-
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="speedup is only measurable with >1 core")
-    def test_parallel_is_faster_on_multicore(self):
-        paths = [SRC]
-        # Warm the page cache and the import state of both paths.
-        parse_files(paths, jobs=1)
-        parse_files(paths, jobs=os.cpu_count())
-        # One serial/parallel pair is at the mercy of whatever else the
-        # host runs in that second; the median of alternating pairs is
-        # not.
-        ratios = []
-        for _ in range(5):
-            start = time.perf_counter()
-            parse_files(paths, jobs=1)
-            serial_s = time.perf_counter() - start
-            start = time.perf_counter()
-            parse_files(paths, jobs=os.cpu_count())
-            parallel_s = time.perf_counter() - start
-            ratios.append(parallel_s / serial_s)
-        # Pool startup costs real time; demand better than break-even,
-        # not a perfect scaling curve.
-        assert statistics.median(ratios) < 1.1, ratios
 
 
 class TestFullProjectBudget:
