@@ -1,9 +1,9 @@
-"""The rule engine: discovery, (parallel) parsing, dispatch, suppression.
+"""The rule engine: discovery, parsing, dispatch, suppression.
 
-Analysis runs in two phases.  The **index phase** parses every file —
-serially or fanned out over a parse pool — and builds the
-:class:`~repro.analysis.project.ProjectContext`: module/import graph,
-symbol table, approximate call graph, per-function dtype summaries.
+Analysis runs in two phases.  The **index phase** parses every file
+and builds the :class:`~repro.analysis.project.ProjectContext`:
+module/import graph, symbol table, approximate call graph,
+per-function dtype summaries.
 The **rule phase** walks each file once more, handing per-file rules
 the :class:`FileContext` and whole-program rules
 (:class:`ProjectRule`) the project context alongside it.  All domain
@@ -14,7 +14,6 @@ stays deliberately boring.
 from __future__ import annotations
 
 import ast
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,9 +27,6 @@ PARSE_ERROR_CODE = "RJ000"
 #: Directories never descended into during discovery.
 _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache",
               "build", "dist"}
-
-#: Hard cap on the parse pool; parsing saturates well before this.
-MAX_PARSE_JOBS = 8
 
 
 class FileContext:
@@ -96,10 +92,6 @@ class ProjectRule(Rule):
     its findings in ``ctx`` — that keeps suppressions, baselines, and
     reporting identical across both rule families.
     """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # Without a project index there is nothing to verify.
-        return iter(())
 
     def check_project(self, ctx: FileContext,
                       project: "ProjectContext") -> Iterator[Finding]:
@@ -173,10 +165,7 @@ class ParsedFile:
 
 
 def _parse_one(path_str: str) -> ParsedFile:
-    """Read + parse + collect suppressions for one file.
-
-    Module-level so the parse pool can pickle it by reference.
-    """
+    """Read + parse + collect suppressions for one file."""
     try:
         source = Path(path_str).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -207,53 +196,16 @@ def parse_source(source: str, path: str) -> ParsedFile:
                       suppressions=collect_suppressions(source, tree))
 
 
-def default_jobs() -> int:
-    """Parse-pool width used by ``--jobs auto``."""
-    return max(1, min(MAX_PARSE_JOBS, os.cpu_count() or 1))
-
-
-def parse_files(paths: Iterable[str | Path],
-                jobs: int = 1) -> list[ParsedFile]:
-    """Parse every Python file under ``paths``.
-
-    With ``jobs > 1`` the files are parsed by a process pool.  The
-    result is identical to the serial path (order included); only the
-    wall-clock changes, which the analysis test suite measures.
-    """
-    files = [str(path) for path in iter_python_files(paths)]
-    if jobs <= 1 or len(files) < 2:
-        return [_parse_one(path) for path in files]
-    # The parse fan-out is IO + parser work over an already-fixed file
-    # list, not a seeded trial grid, so it stays here rather than
-    # going through repro.runtime.jobs.
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(jobs, len(files))
-    chunk = max(1, len(files) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:  # repro-lint: disable=RJ008
-        return [_reattach_tree(parsed) for parsed
-                in pool.map(_parse_one_detached, files, chunksize=chunk)]
-
-
-def _parse_one_detached(path_str: str) -> ParsedFile:
-    """Pool worker: :func:`_parse_one` minus the AST, which costs the
-    parent more to unpickle than :func:`_reattach_tree` takes to parse."""
-    parsed = _parse_one(path_str)
-    parsed.tree = None
-    return parsed
-
-
-def _reattach_tree(parsed: ParsedFile) -> ParsedFile:
-    if parsed.error is None:
-        parsed.tree = ast.parse(parsed.source, filename=parsed.path)
-    return parsed
+def parse_files(paths: Iterable[str | Path]) -> list[ParsedFile]:
+    """Parse every Python file under ``paths``, in discovery order."""
+    return [_parse_one(str(path)) for path in iter_python_files(paths)]
 
 
 # -- analysis -----------------------------------------------------------
 
 
 def _check_file(parsed: ParsedFile, rules: Iterable[Rule],
-                project: "ProjectContext | None") -> list[Finding]:
+                project: "ProjectContext") -> list[Finding]:
     if parsed.tree is None:
         return [parsed.error] if parsed.error is not None else []
     ctx = FileContext(parsed.path, parsed.source, parsed.tree,
@@ -261,8 +213,6 @@ def _check_file(parsed: ParsedFile, rules: Iterable[Rule],
     findings = []
     for rule in rules:
         if isinstance(rule, ProjectRule):
-            if project is None:
-                continue
             produced = rule.check_project(ctx, project)
         else:
             produced = rule.check(ctx)
@@ -282,21 +232,13 @@ def _build_project(parsed: Iterable[ParsedFile]) -> "ProjectContext":
 
 
 def analyze_source(source: str, path: str,
-                   rules: Iterable[Rule] | None = None,
-                   project: "ProjectContext | None" = None
-                   ) -> list[Finding]:
+                   rules: Iterable[Rule] | None = None) -> list[Finding]:
     """Analyze one source string as if it lived at ``path``.
 
-    Without an explicit ``project`` a single-file index is built, so
-    whole-program rules still run on snippets (seeing only this file).
+    The file is its own single-file project, so whole-program rules
+    still run on snippets (seeing only this file).
     """
-    if rules is None:
-        rules = resolve_rules()
-    parsed = parse_source(source, path)
-    if project is None and parsed.tree is not None:
-        project = _build_project([parsed])
-    return sorted(_check_file(parsed, rules, project),
-                  key=Finding.sort_key)
+    return analyze_sources({path: source}, rules)
 
 
 def analyze_sources(files: dict[str, str],
@@ -318,22 +260,8 @@ def analyze_sources(files: dict[str, str],
     return sorted(findings, key=Finding.sort_key)
 
 
-def analyze_file(path: str | Path,
-                 rules: Iterable[Rule] | None = None) -> list[Finding]:
-    """Analyze one file on disk (single-file project index)."""
-    if rules is None:
-        rules = resolve_rules()
-    parsed = _parse_one(str(path))
-    project = None
-    if parsed.tree is not None:
-        project = _build_project([parsed])
-    return sorted(_check_file(parsed, rules, project),
-                  key=Finding.sort_key)
-
-
 def analyze_paths(paths: Iterable[str | Path],
                   rules: Iterable[Rule] | None = None,
-                  jobs: int = 1,
                   project_paths: Iterable[str | Path] | None = None
                   ) -> list[Finding]:
     """Analyze every Python file under ``paths`` (the CLI entry point).
@@ -347,11 +275,11 @@ def analyze_paths(paths: Iterable[str | Path],
         rules = resolve_rules()
     else:
         rules = list(rules)
-    parsed = parse_files(paths, jobs=jobs)
+    parsed = parse_files(paths)
     index_input = parsed
     if project_paths is not None:
         analyzed = {Path(p.path).resolve() for p in parsed}
-        extra = parse_files(project_paths, jobs=jobs)
+        extra = parse_files(project_paths)
         index_input = parsed + [
             p for p in extra if Path(p.path).resolve() not in analyzed
         ]

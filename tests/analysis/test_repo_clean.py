@@ -1,6 +1,11 @@
 """The tier-1 gate: the repository itself must be repro-lint clean,
 and a deliberately corrupted fixture must fail loudly through the CLI.
 
+The CLI tests drive ``repro.analysis.__main__.main`` in-process: a
+subprocess launch costs about two seconds of interpreter start and
+imports per call (``repro.hw`` pulls in ``scipy.signal``), which the
+exit codes and reports under test do not depend on.
+
 Tier-1 always runs the fast gates: source roots via the library API
 and the git-aware ``--changed-only`` CLI pass over the diff.  The
 full four-directory project scan (src, examples, benchmarks, tests
@@ -12,13 +17,13 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
-import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import analyze_paths, apply_baseline, load_baseline
+from repro.analysis.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -33,13 +38,30 @@ in_ci = pytest.mark.skipif(
 )
 
 
-def _cli(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+@dataclass
+class CliResult:
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def cli(monkeypatch, capsys):
+    """Run the repro-lint CLI in-process from ``cwd``.
+
+    argparse usage errors raise ``SystemExit``; its code becomes the
+    return code, so they still read as exit code 2.
+    """
+    def run(args: list[str], cwd: Path) -> CliResult:
+        monkeypatch.chdir(cwd)
+        try:
+            returncode = main(args)
+        except SystemExit as exc:
+            returncode = exc.code
+        captured = capsys.readouterr()
+        return CliResult(returncode, captured.out, captured.err)
+
+    return run
 
 
 class TestRepoIsClean:
@@ -53,19 +75,19 @@ class TestRepoIsClean:
     def test_examples_have_zero_findings(self):
         assert analyze_paths([EXAMPLES]) == []
 
-    def test_cli_gate_exits_zero(self):
-        result = _cli(["src", "--format", "json"], cwd=REPO_ROOT)
+    def test_cli_gate_exits_zero(self, cli):
+        result = cli(["src", "--format", "json"], cwd=REPO_ROOT)
         assert result.returncode == 0, result.stdout + result.stderr
         report = json.loads(result.stdout)
         assert report["total"] == 0
 
-    def test_changed_only_gate_exits_zero(self):
+    def test_changed_only_gate_exits_zero(self, cli):
         # The tier-1 fast gate: lint only the files changed against
         # HEAD (project index still spans src).  On a pristine
         # checkout this is a no-op; on a dirty tree it checks exactly
         # the diff.
-        result = _cli(["src", "examples", "--changed-only"],
-                      cwd=REPO_ROOT)
+        result = cli(["src", "examples", "--changed-only"],
+                     cwd=REPO_ROOT)
         assert result.returncode == 0, result.stdout + result.stderr
 
 
@@ -88,15 +110,16 @@ class TestFullProjectScanInCI:
         )
 
     @in_ci
-    def test_cli_full_scan_with_baseline_exits_zero(self):
-        result = _cli(["src", "examples", "benchmarks", "tests"],
-                      cwd=REPO_ROOT)
+    def test_cli_full_scan_with_baseline_exits_zero(self, cli):
+        result = cli(["src", "examples", "benchmarks", "tests"],
+                     cwd=REPO_ROOT)
         assert result.returncode == 0, result.stdout + result.stderr
         assert "baselined finding(s) suppressed" in result.stdout
 
 
 class TestCorruptedFixtureFailsTheGate:
-    def test_raw_address_yields_json_finding_and_nonzero_exit(self, tmp_path):
+    def test_raw_address_yields_json_finding_and_nonzero_exit(
+            self, tmp_path, cli):
         scratch = tmp_path / "src" / "repro" / "apps" / "corrupted.py"
         scratch.parent.mkdir(parents=True)
         scratch.write_text(
@@ -105,7 +128,7 @@ class TestCorruptedFixtureFailsTheGate:
             "def sabotage(bus):\n"
             "    bus.write(99, 1)\n"
         )
-        result = _cli([str(scratch), "--format", "json"], cwd=tmp_path)
+        result = cli([str(scratch), "--format", "json"], cwd=tmp_path)
         assert result.returncode == 1
         report = json.loads(result.stdout)
         assert report["total"] == 1
@@ -114,7 +137,7 @@ class TestCorruptedFixtureFailsTheGate:
         assert finding["file"] == str(scratch)
         assert finding["line"] == 4
 
-    def test_overflowing_literal_yields_rj002(self, tmp_path):
+    def test_overflowing_literal_yields_rj002(self, tmp_path, cli):
         scratch = tmp_path / "overflow.py"
         scratch.write_text(
             "from repro.hw import register_map as regmap\n"
@@ -122,7 +145,7 @@ class TestCorruptedFixtureFailsTheGate:
             "def sabotage(bus):\n"
             "    bus.write(regmap.REG_REPLAY_LENGTH, 1024)\n"
         )
-        result = _cli([str(scratch), "--format", "json"], cwd=tmp_path)
+        result = cli([str(scratch), "--format", "json"], cwd=tmp_path)
         assert result.returncode == 1
         report = json.loads(result.stdout)
         rules = {finding["rule"] for finding in report["findings"]}
@@ -130,23 +153,23 @@ class TestCorruptedFixtureFailsTheGate:
 
 
 class TestCliBasics:
-    def test_list_rules(self):
-        result = _cli(["--list-rules"], cwd=REPO_ROOT)
+    def test_list_rules(self, cli):
+        result = cli(["--list-rules"], cwd=REPO_ROOT)
         assert result.returncode == 0
         for code in ("RJ001", "RJ002", "RJ003", "RJ004", "RJ005",
                      "RJ010", "RJ011", "RJ012", "RJ014"):
             assert code in result.stdout
 
-    def test_missing_path_is_usage_error(self):
-        result = _cli(["no/such/path"], cwd=REPO_ROOT)
+    def test_missing_path_is_usage_error(self, cli):
+        result = cli(["no/such/path"], cwd=REPO_ROOT)
         assert result.returncode == 2
 
-    def test_select_unknown_rule_is_usage_error(self):
-        result = _cli(["src", "--select", "RJ999"], cwd=REPO_ROOT)
+    def test_select_unknown_rule_is_usage_error(self, cli):
+        result = cli(["src", "--select", "RJ999"], cwd=REPO_ROOT)
         assert result.returncode == 2
 
-    def test_text_format_reports_clean(self):
-        result = _cli(["src/repro/units.py"], cwd=REPO_ROOT)
+    def test_text_format_reports_clean(self, cli):
+        result = cli(["src/repro/units.py"], cwd=REPO_ROOT)
         assert result.returncode == 0
         assert "clean" in result.stdout
 
@@ -165,33 +188,33 @@ class TestCliBaselineAndSarif:
         scratch.write_text(self.CORRUPTED)
         return scratch
 
-    def test_update_baseline_then_rerun_is_clean(self, tmp_path):
+    def test_update_baseline_then_rerun_is_clean(self, tmp_path, cli):
         scratch = self._scratch(tmp_path)
-        update = _cli([str(scratch), "--update-baseline"], cwd=tmp_path)
+        update = cli([str(scratch), "--update-baseline"], cwd=tmp_path)
         assert update.returncode == 0, update.stdout + update.stderr
         assert (tmp_path / ".repro-lint-baseline.json").exists()
-        rerun = _cli([str(scratch)], cwd=tmp_path)
+        rerun = cli([str(scratch)], cwd=tmp_path)
         assert rerun.returncode == 0, rerun.stdout + rerun.stderr
         assert "baselined finding(s) suppressed" in rerun.stdout
 
-    def test_new_finding_beyond_baseline_still_fails(self, tmp_path):
+    def test_new_finding_beyond_baseline_still_fails(self, tmp_path, cli):
         scratch = self._scratch(tmp_path)
-        _cli([str(scratch), "--update-baseline"], cwd=tmp_path)
+        cli([str(scratch), "--update-baseline"], cwd=tmp_path)
         scratch.write_text(self.CORRUPTED + "    bus.write(98, 2)\n")
-        rerun = _cli([str(scratch)], cwd=tmp_path)
+        rerun = cli([str(scratch)], cwd=tmp_path)
         assert rerun.returncode == 1
         assert "RJ001" in rerun.stdout
 
-    def test_no_baseline_reports_everything(self, tmp_path):
+    def test_no_baseline_reports_everything(self, tmp_path, cli):
         scratch = self._scratch(tmp_path)
-        _cli([str(scratch), "--update-baseline"], cwd=tmp_path)
-        rerun = _cli([str(scratch), "--no-baseline"], cwd=tmp_path)
+        cli([str(scratch), "--update-baseline"], cwd=tmp_path)
+        rerun = cli([str(scratch), "--no-baseline"], cwd=tmp_path)
         assert rerun.returncode == 1
         assert "RJ001" in rerun.stdout
 
-    def test_sarif_output_for_a_finding(self, tmp_path):
+    def test_sarif_output_for_a_finding(self, tmp_path, cli):
         scratch = self._scratch(tmp_path)
-        result = _cli([str(scratch), "--format", "sarif"], cwd=tmp_path)
+        result = cli([str(scratch), "--format", "sarif"], cwd=tmp_path)
         assert result.returncode == 1
         sarif = json.loads(result.stdout)
         assert sarif["version"] == "2.1.0"

@@ -346,8 +346,10 @@ class TestPooledSupervision:
                 fault_injector=WorkerFaultInjector(plan))
         for child in multiprocessing.active_children():
             child.join(timeout=10.0)
-        assert [child for child in multiprocessing.active_children()
-                if child.is_alive()] == []
+        survivors = [child for child in multiprocessing.active_children()
+                     if child.is_alive()]
+        assert survivors == [], [
+            (child.name, child.pid, child.exitcode) for child in survivors]
 
 
 class TestStrictDefault:
