@@ -1,16 +1,19 @@
 """Benchmark-suite fixtures.
 
-``telemetry_record`` and ``runtime_record`` collect per-test perf
-records; at session end everything collected is written to
-``BENCH_telemetry.json`` / ``BENCH_runtime.json`` at the repository
-root, where the CI perf-smoke job uploads them as artifacts.  Each
-file is only written when at least one contributing benchmark ran, so
-partial invocations leave no stray output.
+The ``*_record`` fixtures collect per-test perf records; at session
+end everything collected is written to its ``BENCH_*.json`` at the
+repository root, where the CI perf-smoke job uploads them as
+artifacts.  One writer stamps every file with jambench's host
+fingerprint (CPUs, Python/numpy, thread env, git SHA), so a record
+compares with jambench's runs.  Each file is only written when at
+least one contributing benchmark ran, so partial invocations leave no
+stray output.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,12 +27,25 @@ BENCH_RESILIENCE_PATH = _REPO_ROOT / "BENCH_resilience.json"
 BENCH_DEFENSE_PATH = _REPO_ROOT / "BENCH_defense.json"
 BENCH_MULTISTANDARD_PATH = _REPO_ROOT / "BENCH_multistandard.json"
 BENCH_TX_PATH = _REPO_ROOT / "BENCH_tx.json"
+_JAMBENCH = _REPO_ROOT / "jambench"
+
+
+def _jambench_fingerprint() -> dict:
+    """jambench's host fingerprint, so a record compares with its runs."""
+    sys.path.insert(0, str(_JAMBENCH))
+    try:
+        import bench
+        from run import HOST_THREAD_ENV
+    finally:
+        sys.path.remove(str(_JAMBENCH))
+    return bench.fingerprint(HOST_THREAD_ENV, HOST_THREAD_ENV)
 
 
 def _record_fixture(path: Path):
     record: dict[str, object] = {}
     yield record
     if record:
+        record["fingerprint"] = _jambench_fingerprint()
         path.write_text(
             json.dumps(record, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

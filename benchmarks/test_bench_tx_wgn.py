@@ -4,9 +4,10 @@ The paper's continuous mode radiates WGN with no end, and a burst may
 last up to 2^30 samples (42.9 s).  The transmit controller carries each
 WGN stream's generator across chunks, so the cost of a chunk does not
 grow with the time the stream has been on air.  This bench streams
-silence through :class:`repro.hw.dsp_core.CustomDspCore` in continuous
-mode, in 65536-sample chunks, for 1 M and for 4 M samples, alternating
-the two lengths round by round.  It records the ns/sample of each as
+silence (zero IQ16 planes) through
+:class:`repro.hw.dsp_core.CustomDspCore` in continuous mode, in
+65536-sample chunks, for 1 M and for 4 M samples, alternating the two
+lengths round by round.  It records the ns/sample of each as
 paired medians, and asserts that the 4 M run's ns/sample is within
 ``MAX_LONG_SHORT_RATIO`` of the 1 M run's.  A path that replays the
 stream from the burst start on every chunk is quadratic and reads
@@ -15,23 +16,20 @@ about 4.
 Output identity is checked before timing: the 1 M run's transmit bytes
 must equal the WGN closed form drawn from a fresh generator.  The
 record lands in ``BENCH_tx.json`` at the repository root (a CI
-artifact), with jambench's host fingerprint.
+artifact), stamped with jambench's host fingerprint by
+``benchmarks/conftest.py``.
 """
 
 from __future__ import annotations
 
 import statistics
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.hw import register_map as regmap
 from repro.hw.dsp_core import CustomDspCore
-
-JAMBENCH = Path(__file__).resolve().parent.parent / "jambench"
 
 CHUNK = 65536
 SHORT = 2 ** 20
@@ -43,17 +41,6 @@ ROUNDS = 5
 MAX_LONG_SHORT_RATIO = 1.5
 
 
-def _jambench_fingerprint() -> dict:
-    """jambench's host fingerprint, so this record compares with its runs."""
-    sys.path.insert(0, str(JAMBENCH))
-    try:
-        import bench
-        from run import HOST_THREAD_ENV
-    finally:
-        sys.path.remove(str(JAMBENCH))
-    return bench.fingerprint(HOST_THREAD_ENV, HOST_THREAD_ENV)
-
-
 def _continuous_core() -> CustomDspCore:
     core = CustomDspCore()
     core.bus.write(regmap.REG_CONTROL_FLAGS,
@@ -63,12 +50,12 @@ def _continuous_core() -> CustomDspCore:
 
 def _stream(core: CustomDspCore, samples: int, keep: bool = False):
     """Wall ns to stream ``samples`` of silence from a reset core."""
-    rx = np.zeros(CHUNK, dtype=np.complex128)
+    rx = np.zeros((CHUNK, 2), dtype=np.int16)
     core.reset()
     chunks = []
     start = time.perf_counter_ns()
     for _ in range(samples // CHUNK):
-        tx = core.process(rx, quantized=True).tx
+        tx = core.process(rx).tx
         if keep:
             chunks.append(tx)
     elapsed = time.perf_counter_ns() - start
@@ -110,7 +97,6 @@ def test_bench_continuous_wgn_is_linear(tx_record):
         "long_short_ratio": ratio,
         "max_long_short_ratio": MAX_LONG_SHORT_RATIO,
         "identical_to_closed_form": identical,
-        "fingerprint": _jambench_fingerprint(),
     }
     assert ratio < MAX_LONG_SHORT_RATIO, (
         f"4 M samples cost {ratio:.2f}x the ns/sample of 1 M "

@@ -88,7 +88,8 @@ class FixedPointFormat:
 
     def to_float(self, ints: np.ndarray) -> np.ndarray:
         """Convert stored integers back to real values."""
-        return np.asarray(ints, dtype=np.float64) / self.scale
+        # One pass; the scale is a power of two, so this is exact.
+        return np.multiply(ints, 1.0 / self.scale, dtype=np.float64)
 
 
 #: The N210 RX/TX sample format: 16-bit signed, full-scale at +-1.0.
@@ -96,6 +97,27 @@ IQ16 = FixedPointFormat(total_bits=16, fractional_bits=15)
 
 #: The cross-correlator coefficient format from the WARP reference core.
 COEFF3 = FixedPointFormat(total_bits=3, fractional_bits=0)
+
+
+def iq_pairs(samples: np.ndarray) -> np.ndarray:
+    """I/Q samples as a real ``(..., n, 2)`` pair plane (I, Q columns).
+
+    A real ``(..., n, 2)`` plane, such as the DDC's int16 IQ16 plane,
+    passes through unchanged.  Complex128 ``(..., n)`` samples are
+    viewed as their interleaved float64 ``[re, im]`` memory without a
+    copy; other input is converted to complex128 first.
+    """
+    samples = np.asarray(samples)
+    if samples.ndim >= 2 and samples.shape[-1] == 2 \
+            and not np.iscomplexobj(samples):
+        return samples
+    samples = np.asarray(samples, dtype=np.complex128)
+    return samples[..., None].view(np.float64)
+
+
+def iq16_to_complex(plane: np.ndarray) -> np.ndarray:
+    """The complex baseband an ``(..., n, 2)`` IQ16 plane stands for."""
+    return IQ16.to_float(plane).view(np.complex128)[..., 0]
 
 
 def quantize(values: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
@@ -126,13 +148,6 @@ def sign_bits(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values)
     if np.iscomplexobj(values):
-        raise TypeError("sign_bits takes real input; use sign_bits_iq for complex")
+        raise TypeError("sign_bits takes real input; the data path slices "
+                        "I/Q pairs with repro.kernels.sign_plane")
     return np.where(values < 0, -1, 1).astype(np.int8)
-
-
-def sign_bits_iq(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign bits of I and Q components as two +-1 ``int8`` arrays."""
-    values = np.asarray(values)
-    i = np.where(np.real(values) < 0, -1, 1).astype(np.int8)
-    q = np.where(np.imag(values) < 0, -1, 1).astype(np.int8)
-    return i, q

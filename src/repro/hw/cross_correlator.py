@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.fixed_point import COEFF3
+from repro.dsp.fixed_point import COEFF3, iq_pairs
 from repro.errors import ConfigurationError, StreamError
 from repro.hw.register_map import CORRELATOR_LENGTH, MAX_BANKS
 from repro.kernels import (
@@ -305,26 +305,29 @@ class CrossCorrelator:
         self._history[:] = other._history
         self._last[:] = False
 
-    def _assemble_plane(self, samples: np.ndarray) -> np.ndarray:
-        """[history | chunk] interleaved sign plane in scratch storage."""
+    def _assemble_plane(self, samples: np.ndarray) -> np.ndarray | None:
+        """[history | chunk] interleaved sign plane in scratch storage.
+
+        ``None`` for an empty chunk, which leaves the history as it is.
+        """
+        self._require_configured()
+        pairs = iq_pairs(samples)
+        if pairs.ndim != 2:
+            raise StreamError("CrossCorrelator expects a 1-D sample chunk")
+        n = pairs.shape[0]
+        if n == 0:
+            return None
         history = self._history.size
-        plane = self._plane_scratch.view(history + 2 * samples.size)
+        plane = self._plane_scratch.view(history + 2 * n)
         plane[:history] = self._history
-        sign_plane(samples, out=plane[history:])
+        sign_plane(pairs, out=plane[history:])
         # The new history is the last 63 sign pairs of the plane; the
         # scratch is distinct storage, so this holds for any chunk size.
-        self._history[:] = plane[2 * samples.size:]
+        self._history[:] = plane[2 * n:]
         if self._metric_chunks is not None:
             self._metric_chunks.inc()
-            self._metric_samples.inc(samples.size)
+            self._metric_samples.inc(n)
         return plane
-
-    def _chunk(self, samples: np.ndarray) -> np.ndarray:
-        self._require_configured()
-        samples = np.asarray(samples)
-        if samples.ndim != 1:
-            raise StreamError("CrossCorrelator expects a 1-D sample chunk")
-        return samples
 
     def metric(self, samples: np.ndarray) -> np.ndarray:
         """Per-bank squared metric, ``(K, n)``; consumes the chunk.
@@ -334,11 +337,10 @@ class CrossCorrelator:
         first-ever sample see the reset history, which contributes
         zero to the correlation.
         """
-        samples = self._chunk(samples)
-        if samples.size == 0:
+        plane = self._assemble_plane(samples)
+        if plane is None:
             return np.zeros((self.n_banks, 0), dtype=np.int64)
         stacked = self._prepared()
-        plane = self._assemble_plane(samples)
         return xcorr_metric_stacked(plane, stacked,
                                     scratch=self._gemm_scratch)
 
@@ -351,13 +353,12 @@ class CrossCorrelator:
         feeds chunks — the path :class:`repro.hw.dsp_core.CustomDspCore`
         runs per chunk.
         """
-        samples = self._chunk(samples)
-        if samples.size == 0:
+        plane = self._assemble_plane(samples)
+        if plane is None:
             empty = np.zeros(0, dtype=np.int64)
             return (np.zeros((self.n_banks, 0), dtype=bool),
                     tuple(empty for _ in range(self.n_banks)))
         stacked = self._prepared()
-        plane = self._assemble_plane(samples)
         result = xcorr_detect_stacked(plane, stacked, self._thresholds,
                                       last=self._last,
                                       scratch=self._gemm_scratch)

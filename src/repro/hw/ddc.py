@@ -6,6 +6,9 @@ simulation already produces baseband at the core's rate, so the DDC
 model captures what remains observable at that interface: RX gain,
 16-bit quantization with saturation, an anti-alias low-pass, and the
 chain's pipeline latency in clock cycles.
+
+The DDC is the one place received samples are quantized: the core
+receives its ``(n, 2)`` int16 IQ16 plane (I in column 0, Q in 1).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from repro import units
 from repro.dsp.filters import FirFilter, design_lowpass
-from repro.dsp.fixed_point import quantize_iq16
+from repro.dsp.fixed_point import IQ16, iq_pairs
 from repro.errors import StreamError
 from repro.hw.impairments import FrontEndImpairments
 
@@ -65,14 +68,16 @@ class DigitalDownConverter:
         self._sample_clock = 0
 
     def process(self, samples: np.ndarray) -> np.ndarray:
-        """Apply impairments, gain, filtering, 16-bit quantization."""
+        """Impairments, gain, filtering, then the ``(n, 2)`` IQ16 plane."""
         samples = np.asarray(samples, dtype=np.complex128)
         if samples.ndim != 1:
             raise StreamError("DDC expects a 1-D complex chunk")
         if self.impairments is not None:
             samples = self.impairments.apply(samples, self._sample_clock)
         self._sample_clock += samples.size
-        scaled = samples * self._rx_gain
+        # Gain per rail, so a NaN or inf in I never reaches Q.
+        scaled = iq_pairs(samples) * self._rx_gain
         if self._filter is not None:
-            scaled = self._filter.process(scaled)
-        return quantize_iq16(scaled)
+            scaled = iq_pairs(
+                self._filter.process(scaled.view(np.complex128)[:, 0]))
+        return IQ16.to_int(scaled).astype(np.int16)

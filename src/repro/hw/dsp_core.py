@@ -6,29 +6,25 @@ trigger state machine, and transmit controller — and exposes the
 register bus the host uses for run-time reconfiguration.
 
 Processing model: the core consumes received baseband chunks (25 MSPS,
-16-bit-quantized complex) and produces the transmit chunk for the same
-span of the timeline plus event records (detections and jam bursts)
-stamped with absolute sample indices.  Internally the per-sample
-trigger booleans are computed vectorized and reduced to rising edges;
-the FSM and transmit controller, whose state changes only at events,
-walk the edge lists.  Tests validate this fast path against a
-sample-by-sample reference implementation.
+``(n, 2)`` int16 IQ16 planes from the DDC) and produces the transmit
+chunk for the same span of the timeline plus event records (detections
+and jam bursts) stamped with absolute sample indices.  Internally the
+per-sample trigger booleans are computed vectorized and reduced to
+rising edges; the FSM and transmit controller, whose state changes only
+at events, walk the edge lists.  Tests validate this fast path against
+a sample-by-sample reference implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.dsp.fixed_point import quantize_iq16
 from repro.errors import ConfigurationError, RegisterError, StreamError
 from repro.hw import register_map as regmap
+from repro.telemetry.profiler import NULL_PROFILER, HostProfiler
 from repro.telemetry.tracer import CAT_DETECTOR, CAT_TX, NULL_TRACER, Tracer
-
-if TYPE_CHECKING:
-    from repro.telemetry.profiler import HostProfiler
 from repro.hw.watchdog import Watchdog
 from repro.hw.cross_correlator import DEFAULT_BANK_LABELS, METRIC_MAX, \
     CrossCorrelator
@@ -108,10 +104,10 @@ class CustomDspCore:
         self.energy = EnergyDifferentiator()
         self.fsm = TriggerStateMachine([TriggerSource.ENERGY_HIGH])
         self.tx = TransmitController()
-        #: Telemetry probes; the null tracer / no profiler by default
+        #: Telemetry probes; the null tracer / null profiler by default
         #: (see :mod:`repro.telemetry` — opt-in observability).
         self._tracer: Tracer = NULL_TRACER
-        self.profiler: "HostProfiler | None" = None
+        self.profiler: HostProfiler = NULL_PROFILER
         self._clock = 0  # absolute index of the next sample to process
         self._continuous_since: int | None = None
         self.detection_counts = {source: 0 for source in TriggerSource}
@@ -403,45 +399,30 @@ class CustomDspCore:
     # ------------------------------------------------------------------
     # Data path
 
-    def process(self, rx_chunk: np.ndarray, *,
-                quantized: bool = False) -> CoreOutput:
+    def process(self, iq16: np.ndarray) -> CoreOutput:
         """Run one received chunk through detection and jamming control.
 
-        ``rx_chunk`` is complex baseband at 25 MSPS; it is quantized to
-        the 16-bit data path on entry (the ADC/DDC already delivers
-        integers in the real system).  Callers that already hold
-        IQ16-quantized complex128 samples — the DDC output — pass
-        ``quantized=True`` to skip the redundant re-quantize copy.
-        Returns the transmit waveform aligned to the same sample span
-        plus all events.
+        ``iq16`` is the ``(n, 2)`` int16 plane the DDC delivers at
+        25 MSPS; anything else raises :class:`StreamError`.  Returns
+        the transmit waveform for the same sample span plus all events.
         """
-        if quantized:
-            rx_chunk = np.asarray(rx_chunk)
-        else:
-            rx_chunk = np.asarray(rx_chunk, dtype=np.complex128)
-        if rx_chunk.ndim != 1:
-            raise StreamError("CustomDspCore expects a 1-D complex chunk")
+        if getattr(iq16, "dtype", None) != np.int16 or iq16.shape[1:] != (2,):
+            raise StreamError(
+                "CustomDspCore expects an (n, 2) int16 IQ16 plane")
         chunk_start = self._clock
-        n = rx_chunk.size
+        n = iq16.shape[0]
         if n == 0:
             return CoreOutput(tx=np.zeros(0, dtype=np.complex128))
-        samples = rx_chunk if quantized else quantize_iq16(rx_chunk)
 
         if self.watchdog is not None:
             self.watchdog.check_rearm(self.fsm, chunk_start)
 
-        profiler = self.profiler
         stacked = self._bank_count >= 1
         correlator = self.banked if stacked else self.correlator
-        if profiler is None:
-            _trig, xcorr_edges = correlator.detect(samples)
-            _high, _low, ehigh_edges, elow_edges = self.energy.detect(samples)
-        else:
-            with profiler.profile("xcorr"):
-                _trig, xcorr_edges = correlator.detect(samples)
-            with profiler.profile("energy"):
-                _high, _low, ehigh_edges, elow_edges = \
-                    self.energy.detect(samples)
+        with self.profiler.profile("xcorr"):
+            _trig, xcorr_edges = correlator.detect(iq16)
+        with self.profiler.profile("energy"):
+            _high, _low, ehigh_edges, elow_edges = self.energy.detect(iq16)
         # The detectors own their trigger carries; the paper's bank
         # fires with no protocol label.
         protocols = correlator.labels if stacked else (None,)
@@ -459,10 +440,10 @@ class CustomDspCore:
         watchdog = self.watchdog
         jams = self.tx.schedule(
             jam_times if self._tx_allowed else [],
-            samples, chunk_start,
+            iq16, chunk_start,
             None if watchdog is None else watchdog.admit_interval,
         )
-        self.tx.observe_rx(samples)
+        self.tx.observe_rx(iq16)
         self.jam_count += len(jams)
         muted = watchdog is not None and watchdog.safe_state
         continuous = None
@@ -553,15 +534,8 @@ class CustomDspCore:
                     self._protocol_counter(event.protocol).inc()
         if self._tracer.enabled:
             for event in events:
-                if event.protocol is None:
-                    self._tracer.instant(
-                        f"detect.{event.source.name.lower()}",
-                        CAT_DETECTOR, event.time,
-                    )
-                else:
-                    self._tracer.instant(
-                        f"detect.{event.source.name.lower()}",
-                        CAT_DETECTOR, event.time,
-                        which_protocol=event.protocol,
-                    )
+                bank = {} if event.protocol is None \
+                    else {"which_protocol": event.protocol}
+                self._tracer.instant(f"detect.{event.source.name.lower()}",
+                                     CAT_DETECTOR, event.time, **bank)
         return events

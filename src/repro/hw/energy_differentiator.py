@@ -1,10 +1,10 @@
 """The energy differentiator block (paper Fig. 4).
 
-The block computes the instantaneous energy of each I/Q pair, keeps a
-running sum over the most recent ``N`` samples (N = 32 in the paper's
-implementation), and compares the current sum against its own value
-``D`` samples ago (the Z^-64 delay in Fig. 4) scaled by user-defined
-thresholds:
+The block computes the instantaneous energy ``I*I + Q*Q`` of each I/Q
+pair (exact integers on the IQ16 data path), keeps a running sum over
+the most recent ``N`` samples (N = 32 in the paper's implementation),
+and compares the current sum against its own value ``D`` samples ago
+(the Z^-64 delay in Fig. 4) scaled by user-defined thresholds:
 
 * **trigger high**: ``y[n] > y[n - D] * T_high``  — energy rose by at
   least ``T_high`` (expressed in dB, 3..30 dB programmable);
@@ -21,8 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import units
+from repro.dsp.fixed_point import iq_pairs
 from repro.errors import ConfigurationError, StreamError
 from repro.kernels import moving_sums, rising_edge_plane
+from repro.kernels.energy import iq_energy
 from repro.runtime.buffers import ScratchBuffer
 
 #: Moving-sum window length in samples (paper's implementation).
@@ -128,24 +130,27 @@ class EnergyDifferentiator:
         self.clear_last()
 
     def energy_sums(self, samples: np.ndarray) -> np.ndarray:
-        """The moving energy sum per incoming sample (consumes input)."""
-        samples = np.asarray(samples)
-        if samples.ndim != 1:
+        """The moving energy sum per incoming sample (consumes input).
+
+        ``samples`` is an ``(n, 2)`` IQ16 plane or ``n`` complex samples.
+        """
+        pairs = iq_pairs(samples)
+        if pairs.ndim != 2:
             raise StreamError("EnergyDifferentiator expects a 1-D chunk")
-        if samples.size == 0:
+        n = pairs.shape[0]
+        if n == 0:
             return np.zeros(0, dtype=np.float64)
-        energy = np.abs(np.asarray(samples, dtype=np.complex128)) ** 2
-        padded = self._pad_scratch.view(self._window + energy.size)
+        padded = self._pad_scratch.view(self._window + n)
         padded[:self._window] = self._energy_tail
-        padded[self._window:] = energy
+        iq_energy(pairs, out=padded[self._window:])
         sums = moving_sums(padded, self._window,
                            csum_scratch=self._csum_scratch)
         # New tail = last `window` entries of [tail | energy]; the
         # scratch is distinct storage, so this holds for any chunk size.
-        self._energy_tail[:] = padded[energy.size:]
+        self._energy_tail[:] = padded[n:]
         if self._metric_chunks is not None:
             self._metric_chunks.inc()
-            self._metric_samples.inc(energy.size)
+            self._metric_samples.inc(n)
         return sums
 
     def process(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

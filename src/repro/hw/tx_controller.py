@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro import units
+from repro.dsp.fixed_point import iq16_to_complex
 from repro.errors import ConfigurationError, StreamError
 
 #: Clock cycles from trigger to first RF sample out of the DUC.
@@ -51,6 +52,9 @@ MAX_REPLAY_LENGTH = 512
 #: paper's "about 40 s"); at 4 clocks per baseband sample that is
 #: 2^30 samples.
 MAX_UPTIME_SAMPLES = 2 ** 32 // units.CLOCKS_PER_SAMPLE
+
+#: Normals discarded per draw when a WGN stream skips a gap (512 KB).
+WGN_DISCARD_BLOCK = 1 << 16
 
 
 class JamWaveform(enum.IntEnum):
@@ -89,7 +93,7 @@ class TransmitController:
         self.amplitude = amplitude
         self._wgn_seed = int(wgn_seed)
         self._busy_until = -1
-        self._rx_history = np.zeros(0, dtype=np.complex128)
+        self._rx_history = np.zeros((0, 2), dtype=np.int16)
         self._host_waveform = np.zeros(0, dtype=np.complex128)
         # Active bursts, each with its REPLAY snapshot (else None).
         self._active: list[tuple[JamEvent, np.ndarray | None]] = []
@@ -177,7 +181,7 @@ class TransmitController:
     def reset(self) -> None:
         """Abort every active burst and clear capture history."""
         self._busy_until = -1
-        self._rx_history = np.zeros(0, dtype=np.complex128)
+        self._rx_history = np.zeros((0, 2), dtype=np.int16)
         self._active.clear()
         self._wgn_streams.clear()
 
@@ -195,12 +199,15 @@ class TransmitController:
         single transmit pipeline cannot queue overlapping bursts.
         ``admit(start, end)`` is the duty guard: it runs before a
         burst marks the pipeline busy, so a vetoed burst leaves later
-        triggers free to fire.  ``rx_chunk`` is the chunk received
+        triggers free to fire.  ``rx_chunk`` is the IQ16 plane received
         from ``chunk_start`` on, not yet passed to :meth:`observe_rx`;
         a REPLAY burst snapshots the samples received up to and
-        including its trigger.
+        including its trigger.  ``[history | rx_chunk]`` is converted to
+        complex at most once, when the chunk's first REPLAY burst needs
+        it, and each snapshot is a slice of it.
         """
         bursts: list[JamEvent] = []
+        received = None  # [history | rx_chunk] as complex, on first need
         for trigger in trigger_times:
             if trigger < self._busy_until:
                 continue
@@ -213,25 +220,22 @@ class TransmitController:
                              waveform=self._waveform)
             source = None
             if self._waveform is JamWaveform.REPLAY:
-                received = self._rx_history[:0] if rx_chunk is None \
-                    else rx_chunk[:max(trigger - chunk_start + 1, 0)]
-                source = self._recent(received, self._replay_length)
-                if source.size == 0:
-                    source = np.zeros(1, dtype=np.complex128)
+                if received is None:
+                    received = iq16_to_complex(
+                        self._rx_history if rx_chunk is None
+                        else np.concatenate([self._rx_history, rx_chunk]))
+                end = min(len(self._rx_history)
+                          + max(trigger - chunk_start + 1, 0), received.size)
+                source = received[max(end - self._replay_length, 0):end]
             self._active.append((burst, source))
             bursts.append(burst)
         return bursts
 
-    def _recent(self, received: np.ndarray, depth: int) -> np.ndarray:
-        """The last ``depth`` samples of ``[history | received]`` (a copy)."""
-        received = received[-depth:]
-        keep = self._rx_history.size - (depth - received.size)
-        return np.concatenate([self._rx_history[max(keep, 0):], received])
-
     def observe_rx(self, rx_chunk: np.ndarray) -> None:
-        """Feed received samples into the replay capture buffer."""
-        self._rx_history = self._recent(np.asarray(rx_chunk),
-                                        MAX_REPLAY_LENGTH)
+        """Keep the last 512 received IQ16 samples for REPLAY capture."""
+        self._rx_history = np.concatenate(
+            [self._rx_history, rx_chunk[-MAX_REPLAY_LENGTH:]]
+        )[-MAX_REPLAY_LENGTH:]
 
     # ------------------------------------------------------------------
     # Waveform synthesis
@@ -254,8 +258,9 @@ class TransmitController:
         rng, cursor = self._wgn_streams.get(key, (None, 0))
         if rng is None or cursor > offset:
             rng, cursor = np.random.default_rng(key), 0
-        if offset > cursor:
-            rng.standard_normal(2 * (offset - cursor))  # skip the gap
+        for skipped in range(2 * cursor, 2 * offset, WGN_DISCARD_BLOCK):
+            # Split draws give the same stream in bounded memory.
+            rng.standard_normal(min(WGN_DISCARD_BLOCK, 2 * offset - skipped))
         samples = rng.standard_normal(2 * count).view(np.complex128)
         samples /= np.sqrt(2.0)
         self._wgn_streams[key] = (rng, offset + count)
@@ -290,9 +295,8 @@ class TransmitController:
                 if source is None:
                     source = self._host_waveform
                 if source.size == 0:
-                    # An empty host transmit buffer radiates silence,
-                    # as an un-filled hardware FIFO would — never a
-                    # crash.
+                    # An empty host buffer or replay capture radiates
+                    # silence, as an un-filled hardware FIFO would.
                     continue
                 wave = source[(offset + np.arange(count)) % source.size]
             wave *= self._amplitude

@@ -22,10 +22,10 @@ from repro.hw.duc import DigitalUpConverter
 from repro.hw.registers import UserRegisterBus
 from repro.hw.vita_time import VitaTimestamp, VitaTimeSource
 from repro.hw.watchdog import Watchdog
+from repro.telemetry.profiler import NULL_PROFILER, HostProfiler
 
 if TYPE_CHECKING:  # repro.faults imports repro.hw; avoid the cycle.
     from repro.faults.stream import StreamFaultInjector
-    from repro.telemetry.profiler import HostProfiler
 
 #: SBX tuning range (Hz).  The paper quotes 400 MHz - 4 GHz; the board
 #: datasheet extends to 4.4 GHz.
@@ -106,7 +106,7 @@ class UsrpN210:
         #: Optional antenna-port fault stage (see :mod:`repro.faults`).
         self.stream_faults = stream_faults
         #: Telemetry probe: host profiling scopes around DDC/DUC.
-        self.profiler: "HostProfiler | None" = None
+        self.profiler: HostProfiler = NULL_PROFILER
 
     def timestamp_of(self, sample_index: int) -> "VitaTimestamp":
         """Absolute VITA time of an event's sample index (Fig. 1)."""
@@ -125,22 +125,16 @@ class UsrpN210:
         """Run one received chunk through RX -> core -> TX.
 
         ``rx_chunk`` is the complex baseband arriving at the antenna
-        port (post channel).  The returned :class:`CoreOutput` carries
+        port (post channel); the DDC turns it into the IQ16 plane the
+        core takes.  The returned :class:`CoreOutput` carries
         the antenna-port transmit waveform for the same sample span.
         """
         rx_chunk = np.asarray(rx_chunk, dtype=np.complex128)
         if self.stream_faults is not None:
             rx_chunk = self.stream_faults.process(rx_chunk)
-        # The DDC already quantizes its output to IQ16, so the core is
-        # told not to re-quantize (no second pass over the chunk).
-        if self.profiler is None:
-            baseband = self.ddc.process(rx_chunk)
-            output = self.core.process(baseband, quantized=True)
-            output.tx = self.duc.process(output.tx)
-            return output
         with self.profiler.profile("ddc"):
-            baseband = self.ddc.process(rx_chunk)
-        output = self.core.process(baseband, quantized=True)
+            iq16 = self.ddc.process(rx_chunk)
+        output = self.core.process(iq16)
         with self.profiler.profile("duc"):
             output.tx = self.duc.process(output.tx)
         return output
@@ -165,24 +159,14 @@ class UsrpN210:
         if chunk_size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
         rx_signal = np.asarray(rx_signal, dtype=np.complex128)
-        # The data path is length-preserving chunk by chunk, so the
-        # whole transmit waveform is written into one preallocated
-        # array instead of a per-chunk list merged at the end.
+        # Every stage is length-preserving, so the whole transmit
+        # waveform is written into one preallocated array.
         tx = np.zeros(rx_signal.size, dtype=np.complex128)
         detections = []
         jams = []
-        filled = 0
         for start in range(0, rx_signal.size, chunk_size):
             out = self.process(rx_signal[start:start + chunk_size])
-            end = filled + out.tx.size
-            if end > tx.size:  # defensive: a stage grew the chunk
-                tx = np.concatenate([tx[:filled], out.tx])
-                end = tx.size
-            else:
-                tx[filled:end] = out.tx
-            filled = end
+            tx[start:start + chunk_size] = out.tx
             detections.extend(out.detections)
             jams.extend(out.jams)
-        if filled != tx.size:
-            tx = tx[:filled]
         return CoreOutput(tx=tx, detections=detections, jams=jams)

@@ -23,9 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import StreamError
 from repro.kernels.dispatch import get_backend
-from repro.kernels.xcorr import chained_edges
+from repro.kernels.xcorr import batch_rows, chained_edges, stitch_tails
+
+
+def iq_energy(pairs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-sample energy ``I*I + Q*Q`` of a pair plane, into ``out``.
+
+    An IQ16 plane gives integers below 2**31: exact in float64, as are
+    the moving sums over them.
+    """
+    squares = np.square(pairs, dtype=np.float64)
+    return np.add(squares[..., 0], squares[..., 1], out=out)
 
 
 def moving_sums(padded: np.ndarray, window: int,
@@ -57,26 +66,6 @@ class EnergyBatchResult:
     last_low: bool
 
 
-def _stitch_tails(full: np.ndarray, lengths: np.ndarray,
-                  init_tail: np.ndarray, tail_len: int) -> None:
-    """Fill ``full[:, :tail_len]`` with each previous row's valid tail.
-
-    ``full`` rows are ``[tail | payload]``; the last ``tail_len``
-    valid entries of row ``b - 1`` start at column ``lengths[b - 1]``.
-    """
-    batch = full.shape[0]
-    full[0, :tail_len] = init_tail
-    if batch == 1 or tail_len == 0:
-        return
-    if np.all(lengths[:-1] >= tail_len):
-        cols = lengths[:-1, None] + np.arange(tail_len)[None, :]
-        full[1:, :tail_len] = np.take_along_axis(full[:-1], cols, axis=1)
-    else:
-        for b in range(1, batch):
-            start = lengths[b - 1]
-            full[b, :tail_len] = full[b - 1, start:start + tail_len]
-
-
 def energy_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
                         window: int, delay: int,
                         threshold_high: float, threshold_low: float,
@@ -87,29 +76,22 @@ def energy_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
     """Run a batch of chained sample rows through the energy detector.
 
     Same contract as :func:`repro.kernels.xcorr.xcorr_detect_stacked_batch`:
-    ``blocks`` is ``(batch, width)`` complex with per-row valid
-    ``lengths``, rows are chained through the stitched tails, and the
-    result is byte-identical to the streaming facade fed row by row.
+    ``blocks`` is ``(batch, width)`` complex, or its ``(batch, width,
+    2)`` pair plane, with per-row valid ``lengths``; rows are chained
+    through the stitched tails, and the result is byte-identical to
+    the streaming facade fed row by row.
     ``threshold_high``/``threshold_low`` are the *linear* ratios.
     """
-    blocks = np.asarray(blocks)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if blocks.ndim != 2 or lengths.shape != (blocks.shape[0],):
-        raise StreamError("expected (batch, width) blocks with one "
-                          "length per row")
-    if np.any(lengths < 1) or np.any(lengths > blocks.shape[1]):
-        raise StreamError("row lengths must be in [1, width]")
-    batch, width = blocks.shape
+    blocks, lengths = batch_rows(blocks, lengths)
+    batch, width = blocks.shape[:2]
 
     # Zero padding has zero energy, and every padded-column value is
     # sliced off or masked before it can reach a carried tail.
     padded = np.empty((batch, window + width), dtype=np.float64)
-    np.abs(np.asarray(blocks, dtype=np.complex128),
-           out=padded[:, window:].view())
-    np.square(padded[:, window:], out=padded[:, window:])
+    iq_energy(blocks, out=padded[:, window:])
     if energy_tail is None:
         energy_tail = np.zeros(window, dtype=np.float64)
-    _stitch_tails(padded, lengths, energy_tail, window)
+    stitch_tails(padded, lengths, energy_tail, window)
 
     sums = moving_sums(padded, window)
 
@@ -117,7 +99,7 @@ def energy_detect_batch(blocks: np.ndarray, lengths: np.ndarray,
     delayed_full[:, delay:] = sums
     if sum_tail is None:
         sum_tail = np.zeros(delay, dtype=np.float64)
-    _stitch_tails(delayed_full, lengths, sum_tail, delay)
+    stitch_tails(delayed_full, lengths, sum_tail, delay)
     delayed = delayed_full[:, :width]
 
     trigger_high = sums > delayed * threshold_high

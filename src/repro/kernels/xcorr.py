@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dsp.fixed_point import iq_pairs
 from repro.errors import ConfigurationError, StreamError
 from repro.kernels.dispatch import get_backend
 from repro.runtime.cache import cached_artifact
@@ -234,32 +235,27 @@ def stacked_bank_program(banks, thresholds
 
 def sign_plane(samples: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
-    """Interleave the I/Q sign bits of ``(..., n)`` complex samples.
+    """Interleave the I/Q sign bits of ``(..., n)`` I/Q samples.
 
-    Matches the hardware MSB slice: negative maps to -1, everything
-    else (including exact zero) to +1.  Returns ``(..., 2n)`` int8.
+    ``samples`` is anything :func:`repro.dsp.fixed_point.iq_pairs`
+    takes: an ``(..., n, 2)`` IQ16 plane or complex baseband.  Matches
+    the hardware MSB slice: negative maps to -1, everything else
+    (including exact zero) to +1.  Returns ``(..., 2n)`` int8.
     """
-    samples = np.asarray(samples)
-    shape = samples.shape[:-1] + (2 * samples.shape[-1],)
+    pairs = iq_pairs(samples)
+    shape = pairs.shape[:-2] + (2 * pairs.shape[-2],)
     if out is None:
         out = np.empty(shape, dtype=np.int8)
     elif out.shape != shape:
         raise StreamError(
             f"sign plane output must have shape {shape}, got {out.shape}"
         )
-    if samples.dtype == np.complex128 \
-            and samples.strides[-1:] == (samples.itemsize,):
-        # Complex128 memory is already the interleaved [re, im] layout
-        # the plane wants, so the comparison writes straight into the
-        # int8 plane viewed as bools (same itemsize), and two in-place
-        # passes map 0/1 to +1/-1 — no temporaries at all.
-        view = samples.view(np.float64)
-        np.less(view, 0.0, out=out.view(np.bool_))
-        np.multiply(out, _SIGN_SCALE, out=out)
-        out += _SIGN_POS
-        return out
-    out[..., 0::2] = np.where(np.real(samples) < 0, -1, 1)
-    out[..., 1::2] = np.where(np.imag(samples) < 0, -1, 1)
+    # The pair plane is already the interleaved [I, Q] layout, so the
+    # comparison writes straight into the int8 plane viewed as bools
+    # (same itemsize), and two in-place passes map 0/1 to +1/-1.
+    np.less(pairs.reshape(shape), 0, out=out.view(np.bool_))
+    np.multiply(out, _SIGN_SCALE, out=out)
+    out += _SIGN_POS
     return out
 
 
@@ -293,6 +289,41 @@ def chained_edges(trigger: np.ndarray, lengths: np.ndarray,
     edges = trigger & ~previous
     edges &= np.arange(width)[None, :] < lengths[:, None]
     return edges
+
+
+def batch_rows(blocks: np.ndarray, lengths: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Validated ``(batch, width, 2)`` pair rows and int64 row lengths."""
+    blocks = iq_pairs(blocks)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if blocks.ndim != 3 or lengths.shape != (blocks.shape[0],):
+        raise StreamError("expected (batch, width) blocks with one "
+                          "length per row")
+    if np.any(lengths < 1) or np.any(lengths > blocks.shape[1]):
+        raise StreamError("row lengths must be in [1, width]")
+    return blocks, lengths
+
+
+def stitch_tails(full: np.ndarray, lengths: np.ndarray,
+                 init_tail: np.ndarray, tail_len: int) -> None:
+    """Fill ``full[:, :tail_len]`` with each previous row's valid tail.
+
+    ``full`` rows are ``[tail | payload]``; the last ``tail_len``
+    valid entries of row ``b - 1`` start at column ``lengths[b - 1]``.
+    Rows shorter than the tail gather from their own stitched prefix,
+    so they stitch sequentially.
+    """
+    batch = full.shape[0]
+    full[0, :tail_len] = init_tail
+    if batch == 1 or tail_len == 0:
+        return
+    if np.all(lengths[:-1] >= tail_len):
+        cols = lengths[:-1, None] + np.arange(tail_len)[None, :]
+        full[1:, :tail_len] = np.take_along_axis(full[:-1], cols, axis=1)
+    else:
+        for b in range(1, batch):
+            start = lengths[b - 1]
+            full[b, :tail_len] = full[b - 1, start:start + tail_len]
 
 
 @dataclass(frozen=True)
@@ -382,9 +413,9 @@ def xcorr_detect_stacked_batch(blocks: np.ndarray, lengths: np.ndarray,
                                ) -> StackedBatchResult:
     """Run a batch of chained sample rows through the stacked detector.
 
-    ``blocks`` is ``(batch, width)`` complex with row ``b`` valid
-    through ``lengths[b]`` (rows may be zero-padded to the common
-    width).  Rows are *chained*: each row's sign history is stitched
+    ``blocks`` is ``(batch, width)`` complex, or its ``(batch, width,
+    2)`` pair plane, with row ``b`` valid through ``lengths[b]`` (rows
+    may be zero-padded to the common width).  Rows are *chained*: each row's sign history is stitched
     from the previous row's valid tail, so the ``(batch, K, width)``
     planes equal what streaming :func:`xcorr_detect_stacked` produces
     over the concatenated rows — tests pin this.  ``history``
@@ -395,36 +426,17 @@ def xcorr_detect_stacked_batch(blocks: np.ndarray, lengths: np.ndarray,
     if last is None:
         last = np.zeros(coeffs.n_banks, dtype=bool)
     last = np.asarray(last, dtype=bool)
-    blocks = np.asarray(blocks)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if blocks.ndim != 2 or lengths.shape != (blocks.shape[0],):
-        raise StreamError("expected (batch, width) blocks with one "
-                          "length per row")
-    if np.any(lengths < 1) or np.any(lengths > blocks.shape[1]):
-        raise StreamError("row lengths must be in [1, width]")
-    batch, width = blocks.shape
+    blocks, lengths = batch_rows(blocks, lengths)
+    batch, width = blocks.shape[:2]
     pairs = coeffs.history_pairs
     if history is None:
         history = np.zeros(2 * pairs, dtype=np.int8)
 
     plane = np.empty((batch, 2 * (pairs + width)), dtype=np.int8)
     sign_plane(blocks, out=plane[:, 2 * pairs:])
-    # Stitch each row's history from the previous row's valid tail:
-    # the last 2*pairs entries of [history | row] live at plane
-    # columns [2L, 2L + 2*pairs).  A row shorter than the history
-    # depth reaches into its own stitched prefix, so the gather source
-    # must already be final — fall back to a sequential stitch there.
-    plane[0, :2 * pairs] = history
-    if batch > 1 and pairs:
-        if np.all(lengths[:-1] >= pairs):
-            cols = 2 * lengths[:-1, None] + np.arange(2 * pairs)[None, :]
-            plane[1:, :2 * pairs] = np.take_along_axis(plane[:-1], cols,
-                                                       axis=1)
-        else:
-            for b in range(1, batch):
-                start = 2 * lengths[b - 1]
-                plane[b, :2 * pairs] = \
-                    plane[b - 1, start:start + 2 * pairs]
+    # Each row's history is the previous row's valid tail; a pair is
+    # two plane entries.
+    stitch_tails(plane, 2 * lengths, history, 2 * pairs)
 
     metric = xcorr_metric_stacked(plane, coeffs)
     trigger = metric > thresholds[None, :, None]

@@ -38,7 +38,7 @@ from repro.telemetry.exporters import (
     write_jsonl,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.telemetry.profiler import HostProfiler
+from repro.telemetry.profiler import NULL_PROFILER, HostProfiler
 from repro.telemetry.session import Telemetry
 from repro.telemetry.timebase import Stamp, Timebase
 from repro.telemetry.tracer import (
@@ -79,6 +79,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "HostProfiler",
+    "NULL_PROFILER",
     "Telemetry",
     "Stamp",
     "Timebase",

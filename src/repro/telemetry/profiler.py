@@ -8,15 +8,15 @@ optimizes.  A :class:`HostProfiler` wraps a code region in a
 duration into a latency histogram (``host.<name>_ns``) and, when a
 tracer is attached, a host-domain span event.
 
-Probe points keep the profiler optional (``None`` by default) and
-branch around the scope entirely when absent, so the disabled cost is
-one ``is None`` test per chunk.
+Probe points default to :data:`NULL_PROFILER`, whose scopes are one
+shared no-op context, so every probe point is written once and the
+disabled cost is a method call per scope.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.timebase import Timebase
@@ -49,3 +49,16 @@ class HostProfiler:
             self.metrics.histogram(f"host.{name}_ns").observe(end_ns - start_ns)
             if self.tracer.enabled:
                 self.tracer.host_span(name, CAT_HOST, start_ns, end_ns)
+
+
+class NullProfiler(HostProfiler):
+    """The disabled profiler: every scope is one shared no-op context."""
+
+    _SCOPE = nullcontext()
+
+    def profile(self, name: str) -> AbstractContextManager[None]:
+        return self._SCOPE
+
+
+#: The shared disabled profiler; safe to use as a default everywhere.
+NULL_PROFILER = NullProfiler(MetricsRegistry())

@@ -29,7 +29,7 @@ from repro.telemetry.exporters import (
     write_jsonl,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiler import HostProfiler
+from repro.telemetry.profiler import NULL_PROFILER, HostProfiler
 from repro.telemetry.timebase import Timebase
 from repro.telemetry.tracer import (
     DEFAULT_CAPACITY,
@@ -56,8 +56,9 @@ class Telemetry:
         self.metrics = MetricsRegistry()
         self.tracer: Tracer = RingTracer(self.timebase, capacity) \
             if enabled else NULL_TRACER
-        self.profiler: HostProfiler | None = HostProfiler(
-            self.metrics, self.tracer, self.timebase) if enabled else None
+        self.profiler: HostProfiler = HostProfiler(
+            self.metrics, self.tracer, self.timebase) if enabled \
+            else NULL_PROFILER
 
     @classmethod
     def disabled(cls) -> "Telemetry":

@@ -12,9 +12,9 @@ from repro.dsp.fixed_point import (
     quantize,
     quantize_iq16,
     sign_bits,
-    sign_bits_iq,
 )
 from repro.errors import ConfigurationError
+from repro.kernels import sign_plane
 
 
 class TestFixedPointFormat:
@@ -103,13 +103,12 @@ class TestSignBits:
 
     def test_sign_bits_iq_components(self):
         values = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j, 0 + 0j])
-        i, q = sign_bits_iq(values)
-        assert list(i) == [1, -1, 1, -1, 1]
-        assert list(q) == [1, 1, -1, -1, 1]
+        plane = sign_plane(values).reshape(-1, 2)
+        assert list(plane[:, 0]) == [1, -1, 1, -1, 1]
+        assert list(plane[:, 1]) == [1, 1, -1, -1, 1]
 
     def test_sign_bits_iq_dtype(self, rng):
         values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        i, q = sign_bits_iq(values)
-        assert i.dtype == np.int8
-        assert q.dtype == np.int8
-        assert set(np.unique(i)) <= {-1, 1}
+        plane = sign_plane(values)
+        assert plane.dtype == np.int8 and plane.shape == (128,)
+        assert set(np.unique(plane)) <= {-1, 1}

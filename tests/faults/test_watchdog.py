@@ -16,6 +16,7 @@ from repro.hw.watchdog import (
     Watchdog,
     WatchdogConfig,
 )
+from tests.planes import iq16
 
 
 class TestConfigValidation:
@@ -189,7 +190,7 @@ class TestDutyGuardChunking:
         core.bus.write(regmap.REG_JAM_UPTIME, 400)
         jams = []
         for lo in range(0, rx.size, chunk):
-            jams.extend(core.process(rx[lo:lo + chunk]).jams)
+            jams.extend(core.process(iq16(rx[lo:lo + chunk])).jams)
         trips = [(trip.time, trip.reason) for trip in core.watchdog.trips]
         return [(j.trigger_time, j.start, j.end) for j in jams], trips
 

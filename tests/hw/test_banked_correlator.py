@@ -28,6 +28,7 @@ from repro.hw.uhd import UhdDriver
 from repro.hw.usrp import UsrpN210
 from repro.telemetry.metrics import MetricsRegistry
 from tests.kernels.test_xcorr_kernels import _reference_metric
+from tests.planes import iq16
 
 
 def _random_bank(rng):
@@ -242,7 +243,7 @@ class TestBankedCoreMode:
         # Chunk 1: bank 0 still holds template_a, which is absent.
         quiet = awgn(1000, 1e-6, rng)
         out1 = device.run_chunk(quiet) if hasattr(device, "run_chunk") \
-            else device.core.process(quiet)
+            else device.core.process(iq16(quiet))
         assert not [d for d in out1.detections
                     if d.source is TriggerSource.XCORR]
         # Swap bank 0 to the third template without touching the run.
@@ -250,7 +251,7 @@ class TestBankedCoreMode:
                                    label="wimax")
         rx = awgn(1500, 1e-6, rng)
         rx[400:464] += third
-        out2 = device.core.process(rx)
+        out2 = device.core.process(iq16(rx))
         xcorr = [d for d in out2.detections
                  if d.source is TriggerSource.XCORR]
         assert [d.protocol for d in xcorr] == ["wimax"]
@@ -309,7 +310,7 @@ class TestModeSwitchKeepsHistory:
                              (rx[self.BOUNDARY:], second)):
             if count != device.core.bank_count:
                 driver.set_bank_count(count)
-            out = device.core.process(chunk)
+            out = device.core.process(iq16(chunk))
             times += [d.time for d in out.detections
                       if d.source is TriggerSource.XCORR]
         return times

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dsp.fixed_point import sign_bits_iq
+from repro.dsp.fixed_point import sign_bits
 from repro.errors import ConfigurationError, StreamError
 from repro.hw.cross_correlator import (
     METRIC_MAX,
@@ -23,9 +23,8 @@ from repro.hw.register_map import CORRELATOR_LENGTH
 def reference_metric(signal: np.ndarray, coeffs_i: np.ndarray,
                      coeffs_q: np.ndarray) -> np.ndarray:
     """Slow but obviously-correct metric for cross-checking."""
-    si, sq = sign_bits_iq(signal)
-    si = si.astype(np.int64)
-    sq = sq.astype(np.int64)
+    si = sign_bits(np.real(signal)).astype(np.int64)
+    sq = sign_bits(np.imag(signal)).astype(np.int64)
     n = signal.size
     out = np.zeros(n, dtype=np.int64)
     for end in range(n):

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from repro.channel.awgn import awgn
+from repro.errors import StreamError
 from repro.hw import register_map as regmap
 from repro.hw.cross_correlator import quantize_coefficients
 from repro.hw.dsp_core import CustomDspCore
 from repro.hw.registers import UserRegisterBus, pack_signed_fields
 from repro.hw.trigger import TriggerMode, TriggerSource
 from repro.hw.tx_controller import JamWaveform
+from tests.planes import iq16
 
 
 @pytest.fixture
@@ -114,7 +116,7 @@ class TestDataPath:
         core = make_core(template)
         rx = awgn(2000, 1e-6, rng)
         rx[500:564] += template
-        out = core.process(rx)
+        out = core.process(iq16(rx))
         xcorr = [d for d in out.detections if d.source is TriggerSource.XCORR]
         assert len(xcorr) == 1
         assert xcorr[0].time == 563
@@ -129,9 +131,9 @@ class TestDataPath:
         rx = awgn(3000, 1e-6, rng)
         rx[700:764] += template
         core_a = make_core(template)
-        whole = core_a.process(rx)
+        whole = core_a.process(iq16(rx))
         core_b = make_core(template)
-        parts = [core_b.process(rx[i:i + 251]) for i in range(0, 3000, 251)]
+        parts = [core_b.process(iq16(rx[i:i + 251])) for i in range(0, 3000, 251)]
         tx = np.concatenate([p.tx for p in parts])
         assert np.allclose(tx, whole.tx)
         jams = [j for p in parts for j in p.jams]
@@ -143,7 +145,7 @@ class TestDataPath:
         core.bus.write(regmap.REG_CONTROL_FLAGS, 0)  # disable
         rx = awgn(1000, 1e-6, rng)
         rx[300:364] += template
-        out = core.process(rx)
+        out = core.process(iq16(rx))
         assert len(out.detections) >= 1  # detection still runs
         assert not out.jams
         assert np.all(out.tx == 0)
@@ -153,10 +155,10 @@ class TestDataPath:
         core = make_core(template)
         rx = awgn(1000, 1e-6, rng)
         rx[500:564] += template
-        first = core.process(rx[:600])
+        first = core.process(iq16(rx[:600]))
         assert [(j.start, j.end) for j in first.jams] == [(565, 665)]
         core.bus.write(regmap.REG_CONTROL_FLAGS, 0)  # disable
-        rest = core.process(rx[600:])
+        rest = core.process(iq16(rx[600:]))
         assert np.all(np.abs(rest.tx[:65]) > 0)
         assert np.all(rest.tx[65:] == 0)
 
@@ -166,9 +168,9 @@ class TestDataPath:
         rx[500:564] += template
         for uptime, on_air in ((100, 0), (300, 165)):
             core = make_core(template, uptime=uptime)
-            core.process(rx[:600])
+            core.process(iq16(rx[:600]))
             core.skip(100)  # the burst runs [565, 565 + uptime)
-            tx = core.process(rx[700:]).tx
+            tx = core.process(iq16(rx[700:])).tx
             assert np.all(np.abs(tx[:on_air]) > 0)
             assert np.all(tx[on_air:] == 0)
 
@@ -177,7 +179,7 @@ class TestDataPath:
         core.bus.write(regmap.REG_CONTROL_FLAGS,
                        regmap.FLAG_JAMMER_ENABLE | regmap.FLAG_CONTINUOUS)
         rx = awgn(1000, 1e-6, rng)
-        out = core.process(rx)
+        out = core.process(iq16(rx))
         assert np.all(np.abs(out.tx) > 0)
 
     def test_detection_counters(self, rng, template):
@@ -185,27 +187,41 @@ class TestDataPath:
         rx = awgn(2000, 1e-6, rng)
         rx[500:564] += template
         rx[1500:1564] += template
-        core.process(rx)
+        core.process(iq16(rx))
         assert core.detection_counts[TriggerSource.XCORR] == 2
         assert core.jam_count == 2
 
     def test_clock_advances(self, rng, template):
         core = make_core(template)
-        core.process(awgn(123, 1.0, rng))
-        core.process(awgn(77, 1.0, rng))
+        core.process(iq16(awgn(123, 1.0, rng)))
+        core.process(iq16(awgn(77, 1.0, rng)))
         assert core.clock == 200
 
     def test_reset_restores_cold_state(self, rng, template):
         core = make_core(template)
-        core.process(awgn(500, 1e-6, rng))
+        core.process(iq16(awgn(500, 1e-6, rng)))
         core.reset()
         assert core.clock == 0
         assert core.jam_count == 0
         assert core.detection_counts[TriggerSource.XCORR] == 0
 
+    @pytest.mark.parametrize("chunk", [
+        np.zeros(16, dtype=np.complex128),        # complex baseband
+        np.zeros((16, 2), dtype=np.float64),      # float pairs
+        np.zeros((16, 2), dtype=np.int32),        # wrong word width
+        np.zeros((16, 3), dtype=np.int16),        # not I/Q pairs
+        np.zeros(32, dtype=np.int16),             # flat words
+        np.zeros((2, 16, 2), dtype=np.int16),     # a batch of planes
+    ])
+    def test_rejects_anything_but_an_iq16_plane(self, template, chunk):
+        core = make_core(template)
+        with pytest.raises(StreamError):
+            core.process(chunk)
+        assert core.clock == 0
+
     def test_empty_chunk(self, template):
         core = make_core(template)
-        out = core.process(np.zeros(0, dtype=complex))
+        out = core.process(iq16(np.zeros(0, dtype=complex)))
         assert out.tx.size == 0
 
     def test_nan_samples_saturate_like_zeros(self, rng, template):
@@ -226,7 +242,7 @@ class TestDataPath:
             core = make_core(template)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                outputs.append([core.process(signal[i:i + 1000])
+                outputs.append([core.process(iq16(signal[i:i + 1000]))
                                 for i in (0, 1000)])
         for got, want in zip(*outputs):
             assert got.detections == want.detections
@@ -238,7 +254,7 @@ class TestDataPath:
         core.bus.write(regmap.REG_REPLAY_LENGTH, 64)
         rx = awgn(1000, 1e-9, rng)
         rx[300:364] += template * 0.5
-        out = core.process(rx)
+        out = core.process(iq16(rx))
         assert len(out.jams) == 1
         burst = out.tx[out.jams[0].start:out.jams[0].end]
         # The replayed burst must correlate strongly with the preamble

@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from repro.channel.awgn import awgn
-from repro.dsp.fixed_point import quantize_iq16, sign_bits_iq
+from repro.dsp.fixed_point import quantize_iq16, sign_bits
 from repro.hw import register_map as regmap
 from repro.hw.cross_correlator import quantize_coefficients
 from repro.hw.dsp_core import CustomDspCore
 from repro.hw.registers import pack_signed_fields
 from repro.hw.trigger import TriggerSource
 from repro.hw.tx_controller import INIT_LATENCY_SAMPLES
+from tests.planes import iq16
 
 
 class ReferenceCore:
@@ -39,9 +40,8 @@ class ReferenceCore:
 
     def run(self, rx: np.ndarray):
         quantized = quantize_iq16(rx)
-        si, sq = sign_bits_iq(quantized)
-        si = si.astype(np.int64)
-        sq = sq.astype(np.int64)
+        si = sign_bits(quantized.real).astype(np.int64)
+        sq = sign_bits(quantized.imag).astype(np.int64)
         n = rx.size
         detections = []
         jams = []
@@ -106,7 +106,7 @@ def test_fast_path_matches_reference(uptime, delay, seed):
 
     tx_parts, detections, jams = [], [], []
     for lo in range(0, rx.size, 333):
-        chunk_out = core.process(rx[lo:lo + 333])
+        chunk_out = core.process(iq16(rx[lo:lo + 333]))
         tx_parts.append(chunk_out.tx)
         detections.extend(chunk_out.detections)
         jams.extend(chunk_out.jams)
@@ -135,7 +135,7 @@ def test_reference_agrees_on_quiet_input():
     ci, cq = core.correlator.bank_coefficients(0)
     reference = ReferenceCore(ci, cq, 30_000, 50, 0)
     rx = awgn(800, 1e-6, rng)
-    out = core.process(rx)
+    out = core.process(iq16(rx))
     ref_detections, ref_jams = reference.run(rx)
     assert [d.time for d in out.detections
             if d.source is TriggerSource.XCORR] == ref_detections

@@ -65,6 +65,24 @@ class TestEnergySums:
         with pytest.raises(StreamError):
             EnergyDifferentiator().energy_sums(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("chunk", [
+        np.zeros((4, 3), dtype=np.int16),        # 2-D, not I/Q pairs
+        np.zeros((2, 8), dtype=complex),         # a batch, not a chunk
+        np.zeros((2, 4, 2), dtype=np.int16),     # a batch of planes
+    ])
+    def test_rejects_2d_that_is_not_a_pair_plane(self, chunk):
+        with pytest.raises(StreamError):
+            EnergyDifferentiator().energy_sums(chunk)
+
+    def test_iq16_plane_sums_exact_integer_energy(self, rng):
+        plane = rng.integers(-2 ** 15, 2 ** 15, size=(300, 2),
+                             dtype=np.int16)
+        wide = plane.astype(np.int64)
+        energy = wide[:, 0] ** 2 + wide[:, 1] ** 2
+        exact = np.convolve(energy, np.ones(32, dtype=np.int64))[:300]
+        sums = EnergyDifferentiator().energy_sums(plane)
+        assert np.array_equal(sums, exact.astype(np.float64))
+
     def test_empty_chunk(self):
         det = EnergyDifferentiator()
         high, low = det.process(np.zeros(0, dtype=complex))

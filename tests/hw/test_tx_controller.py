@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import units
+from repro.dsp.fixed_point import IQ16, iq16_to_complex
 from repro.errors import ConfigurationError, StreamError
 from repro.hw.tx_controller import (
     INIT_LATENCY_CLOCKS,
@@ -152,40 +153,46 @@ class TestWgnSynthesis:
         assert np.count_nonzero(tx.synthesize(100, 100)) == iv.end - iv.start
 
 
+def _plane(rng, n: int) -> np.ndarray:
+    """A random received IQ16 plane of ``n`` samples."""
+    return rng.integers(IQ16.min_int, IQ16.max_int + 1, size=(n, 2),
+                        dtype=np.int16)
+
+
 class TestReplay:
     def test_replays_captured_samples(self, rng):
         tx = TransmitController(waveform=JamWaveform.REPLAY,
                                 uptime_samples=64, replay_length=32)
-        captured = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        captured = _plane(rng, 32)
         tx.observe_rx(captured)
         iv = tx.schedule([100])[0]
         wave = tx.synthesize(0, 300)[iv.start:iv.end]
         # 64 samples of cyclic replay of the 32 captured samples.
-        assert np.allclose(wave[:32], captured)
-        assert np.allclose(wave[32:64], captured)
+        assert np.array_equal(wave[:32], iq16_to_complex(captured))
+        assert np.array_equal(wave[32:64], iq16_to_complex(captured))
 
     def test_capture_depth_limited(self, rng):
         tx = TransmitController(waveform=JamWaveform.REPLAY,
                                 uptime_samples=16, replay_length=16)
-        history = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+        history = _plane(rng, 100)
         tx.observe_rx(history)
         iv = tx.schedule([200])[0]
         wave = tx.synthesize(0, 300)[iv.start:iv.end]
-        assert np.allclose(wave, history[-16:])
+        assert np.array_equal(wave, iq16_to_complex(history[-16:]))
 
     def test_snapshot_frozen_at_trigger(self, rng):
         tx = TransmitController(waveform=JamWaveform.REPLAY,
                                 uptime_samples=8, replay_length=8)
-        first = rng.standard_normal(8) + 0j
+        first = _plane(rng, 8)
         tx.observe_rx(first)
         iv = tx.schedule([50])[0]
-        tx.observe_rx(rng.standard_normal(8) + 0j)  # arrives after trigger
+        tx.observe_rx(_plane(rng, 8))  # arrives after trigger
         wave = tx.synthesize(0, 100)[iv.start:iv.end]
-        assert np.allclose(wave, first)
+        assert np.array_equal(wave, iq16_to_complex(first))
 
     def test_synthesize_drops_finished_burst(self, rng):
         tx = TransmitController(waveform=JamWaveform.REPLAY, uptime_samples=8)
-        tx.observe_rx(rng.standard_normal(8) + 0j)
+        tx.observe_rx(_plane(rng, 8))
         iv = tx.schedule([10])[0]
         tx.synthesize(0, iv.end - 1)
         assert [burst for burst, _source in tx._active] == [iv]
@@ -195,19 +202,30 @@ class TestReplay:
     def test_snapshot_slices_chunk_up_to_trigger(self, rng):
         tx = TransmitController(waveform=JamWaveform.REPLAY,
                                 uptime_samples=6, replay_length=6)
-        history = rng.standard_normal(4) + 0j
-        chunk = rng.standard_normal(10) + 0j
+        history = _plane(rng, 4)
+        chunk = _plane(rng, 10)
         tx.observe_rx(history)
         # Trigger at absolute 102 = local sample 2 of a chunk at 100:
         # the snapshot is the last 6 of [history | chunk[:3]].
         iv = tx.schedule([102], chunk, 100)[0]
         tx.observe_rx(chunk)
         wave = tx.synthesize(100, 20)[iv.start - 100:iv.end - 100]
-        assert np.array_equal(wave, np.concatenate([history[-3:], chunk[:3]]))
+        assert np.array_equal(
+            wave, iq16_to_complex(np.concatenate([history[-3:], chunk[:3]])))
+
+    def test_bursts_in_one_chunk_snapshot_their_own_triggers(self, rng):
+        tx = TransmitController(waveform=JamWaveform.REPLAY,
+                                uptime_samples=4, replay_length=5)
+        chunk = _plane(rng, 40)
+        first, second = tx.schedule([10, 30], chunk, 0)
+        wave = tx.synthesize(0, 40)
+        samples = iq16_to_complex(chunk)
+        assert np.array_equal(wave[first.start:first.end], samples[6:10])
+        assert np.array_equal(wave[second.start:second.end], samples[26:30])
 
     def test_nothing_received_replays_silence(self):
         tx = TransmitController(waveform=JamWaveform.REPLAY, uptime_samples=4)
-        tx.schedule([0], np.zeros(0, dtype=complex), 0)
+        tx.schedule([0], np.zeros((0, 2), dtype=np.int16), 0)
         assert not tx.synthesize(0, 10).any()
 
 
@@ -257,7 +275,7 @@ class TestContinuousAndMute:
     def test_continuous_burst_replaces_scheduled_ones(self):
         tx = TransmitController(waveform=JamWaveform.REPLAY,
                                 uptime_samples=50)
-        tx.observe_rx(np.ones(8, dtype=complex))
+        tx.observe_rx(np.ones((8, 2), dtype=np.int16))
         tx.schedule([0])
         continuous = JamEvent(trigger_time=0, start=0, end=30,
                               waveform=JamWaveform.WGN)

@@ -7,11 +7,13 @@ chunking draws every normal exactly once.  The linearity tests count
 the normals drawn through a wrapper around ``np.random.default_rng``
 (counts, never wall time, so they are deterministic on a loaded host);
 the oracle tests pin the rendered bytes to the waveform's closed form
-computed from a fresh generator.
+computed from a fresh generator.  The long-gap test bounds the memory
+that discarding a skipped span costs.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -99,7 +101,7 @@ def _run_continuous(core: CustomDspCore, bounds: list[int],
         if gap is not None and lo == gap[0]:
             core.skip(hi - lo)
             continue
-        tx[lo:hi] = core.process(np.zeros(hi - lo, dtype=np.complex128)).tx
+        tx[lo:hi] = core.process(np.zeros((hi - lo, 2), dtype=np.int16)).tx
     return tx
 
 
@@ -206,3 +208,28 @@ class TestClosedFormOracle:
         if gap is not None:
             expected[gap[0]:gap[1]] = 0
         assert out.tobytes() == expected.tobytes()
+
+
+class TestLongGap:
+    def test_skip_discards_the_gap_in_bounded_memory(self):
+        # A skip() of 2^22 samples (0.17 s) inside the continuous span:
+        # the next chunk discards the gap's 2^23 normals before drawing
+        # its own, and must not hold them all at once.
+        chunk, gap = 4096, 1 << 22
+        core = _continuous_core()
+        silence = np.zeros((chunk, 2), dtype=np.int16)
+        core.process(silence)
+        core.skip(gap)
+        tracemalloc.start()
+        try:
+            tx = core.process(silence).tx
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The closed form, with the gap drawn and discarded in one call.
+        rng = np.random.default_rng((core.tx.wgn_seed, 0))
+        rng.standard_normal(2 * (chunk + gap))
+        p = rng.standard_normal(2 * chunk)
+        expected = (p[0::2] + 1j * p[1::2]) / np.sqrt(2.0) * core.tx.amplitude
+        assert tx.tobytes() == expected.tobytes()
+        assert peak < 4 << 20, f"gap discard peaked at {peak / 2**20:.1f} MB"

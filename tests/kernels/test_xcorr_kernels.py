@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.dsp.fixed_point import iq16_to_complex
 from repro.errors import ConfigurationError, StreamError
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
 from repro.kernels import (
@@ -104,6 +105,23 @@ class TestSignPlane:
         samples = np.array([1 - 2j, -3 + 0j, 0 + 0j])
         np.testing.assert_array_equal(
             sign_plane(samples), [1, -1, -1, 1, 1, 1])
+
+    def test_iq16_plane_slices_like_its_complex_value(self, rng):
+        plane = rng.integers(-2 ** 15, 2 ** 15, size=(257, 2),
+                             dtype=np.int16)
+        plane[:5] = 0  # exact zeros map to +1
+        np.testing.assert_array_equal(
+            sign_plane(plane), sign_plane(iq16_to_complex(plane)))
+        np.testing.assert_array_equal(
+            sign_plane(plane), np.where(plane.reshape(-1) < 0, -1, 1))
+
+    def test_strided_and_batched_input(self, rng):
+        samples = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+        strided = samples[:, ::2]
+        expected = np.stack([np.where(strided.real < 0, -1, 1),
+                             np.where(strided.imag < 0, -1, 1)], axis=-1)
+        np.testing.assert_array_equal(sign_plane(strided),
+                                      expected.reshape(3, 40))
 
     def test_out_shape_is_validated(self):
         with pytest.raises(StreamError):

@@ -17,6 +17,7 @@ from repro.hw import register_map as regmap
 from repro.hw.dsp_core import CustomDspCore
 from repro.hw.registers import NUM_REGISTERS
 from repro.hw.trigger import TriggerStateMachine
+from tests.planes import iq16
 
 # Addresses and 32-bit payloads.
 addresses = st.integers(0, NUM_REGISTERS - 1)
@@ -42,7 +43,7 @@ def test_random_register_writes_never_break_the_datapath(writes, seed):
     for address, value in writes:
         _safe_write(core, address, value)
     rng = np.random.default_rng(seed)
-    out = core.process(awgn(512, 1e-4, rng))
+    out = core.process(iq16(awgn(512, 1e-4, rng)))
     # Invariants that must survive any configuration:
     assert out.tx.size == 512
     assert np.all(np.isfinite(out.tx))

@@ -11,15 +11,16 @@ from repro.dsp.fixed_point import (
     IQ16,
     FixedPointFormat,
     quantize_iq16,
-    sign_bits_iq,
 )
 from repro.dsp.filters import moving_sum
 from repro.dsp.ofdm import OfdmParameters, ofdm_demodulate, ofdm_modulate
 from repro.dsp.resample import RationalResampler
 from repro.hw.cross_correlator import CrossCorrelator, quantize_coefficients
+from repro.hw.ddc import DigitalDownConverter
 from repro.hw.energy_differentiator import EnergyDifferentiator
 from repro.hw.registers import pack_signed_fields, unpack_signed_fields
 from repro.hw.trigger import TriggerSource, TriggerStateMachine, rising_edges
+from repro.kernels import sign_plane
 from repro.phy.bits import bits_to_bytes, bytes_to_bits, check_fcs, append_fcs
 from repro.phy.coding import CodeRate, ConvolutionalCode
 from repro.phy.interleaving import deinterleave, interleave
@@ -94,11 +95,28 @@ def test_quantize_iq16_saturates_any_input(values: list[complex]):
         assert np.all(part < 1.0)
 
 
+@given(st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True),
+                min_size=0, max_size=50))
+@settings(derandomize=True, max_examples=60)
+def test_ddc_plane_is_the_iq16_quantizer(values: list[complex]):
+    # The DDC is the one quantizer on the receive path: its int16 plane
+    # is quantize_iq16 component-wise, for NaN, +-inf and huge values
+    # as well.
+    x = np.array(values, dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plane = DigitalDownConverter(rx_gain_db=0).process(x)
+    assert plane.dtype == np.int16 and plane.shape == (x.size, 2)
+    expected = quantize_iq16(x)
+    np.testing.assert_array_equal(plane[:, 0] / 2 ** 15, expected.real)
+    np.testing.assert_array_equal(plane[:, 1] / 2 ** 15, expected.imag)
+
+
 @given(seeds, st.integers(1, 200))
 def test_sign_bits_always_bipolar(seed: int, n: int):
-    i, q = sign_bits_iq(complex_signal(seed, n))
-    assert set(np.unique(i)) <= {-1, 1}
-    assert set(np.unique(q)) <= {-1, 1}
+    plane = sign_plane(complex_signal(seed, n))
+    assert plane.shape == (2 * n,)
+    assert set(np.unique(plane)) <= {-1, 1}
 
 
 # ----------------------------------------------------------------------

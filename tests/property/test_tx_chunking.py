@@ -18,6 +18,7 @@ from repro.hw import register_map as regmap
 from repro.hw.dsp_core import CustomDspCore
 from repro.hw.tx_controller import JamWaveform
 from repro.hw.watchdog import Watchdog, WatchdogConfig
+from tests.planes import iq16
 
 TRACE_SAMPLES = 3000
 
@@ -69,7 +70,7 @@ def _run(mode: str, guarded: bool, cuts: list[int]):
     bounds = [0, *cuts, TRACE_SAMPLES]
     tx, detections, jams = [], [], []
     for lo, hi in zip(bounds, bounds[1:]):
-        out = core.process(RX[lo:hi])
+        out = core.process(iq16(RX[lo:hi]))
         tx.append(out.tx)
         detections.extend(out.detections)
         jams.extend(out.jams)

@@ -22,6 +22,7 @@ from repro.core.events import JammingEventBuilder
 from repro.core.jammer import ReactiveJammer
 from repro.core.presets import reactive_jammer
 from repro.telemetry import Telemetry
+from repro.telemetry.profiler import NULL_PROFILER
 from repro.telemetry.tracer import (
     CAT_DETECTOR,
     CAT_FSM,
@@ -83,14 +84,14 @@ class TestAttach:
     def test_disabled_bundle_leaves_probes_null(self):
         jammer = ReactiveJammer(telemetry=Telemetry.disabled())
         assert jammer.device.core.tracer is NULL_TRACER
-        assert jammer.device.core.profiler is None
-        assert jammer.device.profiler is None
+        assert jammer.device.core.profiler is NULL_PROFILER
+        assert jammer.device.profiler is NULL_PROFILER
 
     def test_no_telemetry_means_null_defaults(self):
         jammer = ReactiveJammer()
         assert jammer.telemetry is None
         assert jammer.device.core.tracer is NULL_TRACER
-        assert jammer.device.profiler is None
+        assert jammer.device.profiler is NULL_PROFILER
 
 
 class TestFig5Integration:
